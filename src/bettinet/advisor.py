@@ -8,8 +8,14 @@ positive radius of the configured grid (default: 64 log-spaced radii from
 samples onto coincident activation vectors, which is exactly what this
 number detects.
 
-Per-class homology computations are independent and may run in parallel
-(``jobs``); results do not depend on the level of parallelism.
+``layer_profile``'s ``max_dim`` sets what a profile holds.  At 0 each
+class gets only its b0 curve, exact from a minimum spanning tree;
+``width_sweep`` reads nothing else, and runs it serially, because a class
+costs milliseconds (about 2 ms at 100 points), less than starting a worker.
+At 1 (the default, and all ``input_profile`` computes) each class gets its
+dim-1 Rips barcode and b0/b1 curves; these computations are independent
+and may run in parallel (``jobs``); results do not depend on the level of
+parallelism.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .data import Dataset
-from .homology import Barcode, betti_curve, pairwise_distances, rips_persistence
+from .homology import Barcode, b0_curve, betti_curve, pairwise_distances, rips_persistence
 from .mlp import (
     ActivationFn,
     Network,
@@ -58,8 +64,8 @@ DEFAULT_THRESHOLD = 0.5
 class ClassCurves:
     grid: np.ndarray
     b0: np.ndarray
-    b1: np.ndarray
-    barcode: Barcode
+    b1: Optional[np.ndarray]  # None in a max_dim=0 profile
+    barcode: Optional[Barcode]  # None in a max_dim=0 profile
 
     @property
     def b0_at_min_radius(self) -> int:
@@ -87,44 +93,54 @@ def default_radius_grid(max_distance: float, size: int = DEFAULT_GRID_SIZE) -> n
     return np.geomspace(DEFAULT_MIN_RADIUS, top, size)
 
 
-def _curves_for_cloud(args) -> tuple[int, np.ndarray, np.ndarray, Barcode]:
-    class_id, points, grid = args
-    dist = pairwise_distances(points)
+def _curves_for_cloud(args) -> ClassCurves:
+    dist, grid, max_dim = args
+    if max_dim == 0:
+        return ClassCurves(grid=grid, b0=b0_curve(dist, grid), b1=None, barcode=None)
     barcode = rips_persistence(dist, max_dim=1)
-    return class_id, betti_curve(barcode, 0, grid), betti_curve(barcode, 1, grid), barcode
+    return ClassCurves(
+        grid=grid,
+        b0=betti_curve(barcode, 0, grid),
+        b1=betti_curve(barcode, 1, grid),
+        barcode=barcode,
+    )
 
 
 def _profile_clouds(
     clouds: dict[int, np.ndarray],
     radius_grid: Optional[np.ndarray],
     cap: int,
-    jobs: int = 1,
+    max_dim: int,
+    jobs: int,
 ) -> ClassProfile:
+    dists = {cid: pairwise_distances(pts) for cid, pts in sorted(clouds.items())}
     if radius_grid is None:
-        max_dist = 0.0
-        for pts in clouds.values():
-            max_dist = max(max_dist, float(pairwise_distances(pts).max()))
+        max_dist = max((float(d.max()) for d in dists.values()), default=0.0)
         radius_grid = default_radius_grid(max_dist)
     grid = np.asarray(radius_grid, dtype=np.float64)
 
-    tasks = [(cid, pts, grid) for cid, pts in sorted(clouds.items())]
+    tasks = [(dist, grid, max_dim) for dist in dists.values()]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_curves_for_cloud, tasks))
     else:
         results = [_curves_for_cloud(t) for t in tasks]
-    curves = {
-        cid: ClassCurves(grid=grid, b0=b0, b1=b1, barcode=bc) for cid, b0, b1, bc in results
-    }
-    return ClassProfile(curves=curves, grid=grid, cap=cap)
+    return ClassProfile(curves=dict(zip(dists, results)), grid=grid, cap=cap)
 
 
-def _subsample(points: np.ndarray, cap: int, seed: int) -> np.ndarray:
-    if len(points) <= cap:
-        return points
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(len(points), size=cap, replace=False))
-    return points[idx]
+def _profiled_classes(dataset: Dataset, per_class_cap: int) -> list[int]:
+    """Return the classes with at least two points; the others are skipped
+    with a warning."""
+    if per_class_cap < 2:
+        raise ValueError("per_class_cap must be >= 2")
+    classes = []
+    for c in range(dataset.n_classes):
+        size = len(dataset.class_indices(c))
+        if size < 2:
+            warnings.warn(f"class {c} has {size} point(s); skipped", stacklevel=3)
+            continue
+        classes.append(c)
+    return classes
 
 
 def input_profile(
@@ -138,16 +154,11 @@ def input_profile(
 
     Classes with fewer than two points are skipped with a warning.
     """
-    if per_class_cap < 2:
-        raise ValueError("per_class_cap must be >= 2")
-    clouds = {}
-    for c in range(dataset.n_classes):
-        idx = dataset.class_indices(c)
-        if len(idx) < 2:
-            warnings.warn(f"class {c} has {len(idx)} point(s); skipped", stacklevel=2)
-            continue
-        clouds[c] = _subsample(dataset.features[idx], per_class_cap, seed)
-    return _profile_clouds(clouds, radius_grid, per_class_cap, jobs)
+    classes = _profiled_classes(dataset, per_class_cap)
+    clouds = {
+        c: dataset.features[dataset.sample_class_indices(c, per_class_cap, seed)] for c in classes
+    }
+    return _profile_clouds(clouds, radius_grid, per_class_cap, max_dim=1, jobs=jobs)
 
 
 def layer_profile(
@@ -158,19 +169,18 @@ def layer_profile(
     radius_grid: Optional[np.ndarray] = None,
     seed: int = 0,
     jobs: int = 1,
+    max_dim: int = 1,
 ) -> ClassProfile:
-    """Per-class b0/b1 curves of the layer outputs (inference mode)."""
-    if per_class_cap < 2:
-        raise ValueError("per_class_cap must be >= 2")
-    clouds = {}
-    for c in range(dataset.n_classes):
-        idx = dataset.class_indices(c)
-        if len(idx) < 2:
-            warnings.warn(f"class {c} has {len(idx)} point(s); skipped", stacklevel=2)
-            continue
-        dump = extract_class_activations(net, dataset, layer, c, per_class_cap, seed)
-        clouds[c] = dump.activations
-    return _profile_clouds(clouds, radius_grid, per_class_cap, jobs)
+    """Per-class b0 (and at ``max_dim=1`` b1) curves of the layer outputs
+    (inference mode), on the same samples ``input_profile`` uses."""
+    if max_dim not in (0, 1):
+        raise ValueError(f"max_dim must be 0 or 1, got {max_dim}")
+    classes = _profiled_classes(dataset, per_class_cap)
+    clouds = {
+        c: extract_class_activations(net, dataset, layer, c, per_class_cap, seed).activations
+        for c in classes
+    }
+    return _profile_clouds(clouds, radius_grid, per_class_cap, max_dim, jobs)
 
 
 @dataclass(frozen=True)
@@ -286,10 +296,11 @@ def width_sweep(
     layer: Optional[int] = None,
     per_class_cap: int = DEFAULT_CLASS_CAP,
     radius_grid: Optional[np.ndarray] = None,
-    jobs: int = 1,
 ) -> SweepResult:
     """Train an equal-width net per (width, seed), evaluate accuracy and
     the max-over-classes b0 at minimum radius of the chosen layer.
+
+    Row profiles hold b0 only (``max_dim=0``).
 
     A diverging training run is recorded with its error and the sweep
     continues.  Deterministic given the seed list.
@@ -326,7 +337,7 @@ def width_sweep(
                 per_class_cap=per_class_cap,
                 radius_grid=radius_grid,
                 seed=seed,
-                jobs=jobs,
+                max_dim=0,
             )
             rows.append(
                 SweepRow(

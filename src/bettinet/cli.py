@@ -70,6 +70,11 @@ def _load_test_dataset(args) -> data.Dataset:
             return data.load_idx_dataset(path, split="test")
         except FileNotFoundError:
             pass
+    print(
+        f"warning: no --test-data and no test split in {path}; "
+        "accuracy is measured on the training split",
+        file=sys.stderr,
+    )
     return _load_dataset(args.data, args.label_col)
 
 
@@ -186,7 +191,6 @@ def cmd_sweep(args) -> int:
         batch_size=args.batch_size,
         layer=args.layer,
         per_class_cap=args.cap,
-        jobs=args.jobs,
     )
     (out / "sweep.csv").write_text("\n".join(result.records()) + "\n")
     (out / "sweep.txt").write_text(result.to_text())
@@ -289,7 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--layer", type=int, default=None)
     p.add_argument("--cap", type=int, default=advisor.DEFAULT_CLASS_CAP)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="no effect: sweep computes only b0, serially"
+    )
     p.add_argument("--out", default="sweep_out")
     p.set_defaults(func=cmd_sweep)
 

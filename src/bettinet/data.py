@@ -69,6 +69,19 @@ class Dataset:
     def class_indices(self, class_id: int) -> np.ndarray:
         return np.nonzero(self.labels == class_id)[0]
 
+    def sample_class_indices(self, class_id: int, cap: int, seed: int) -> np.ndarray:
+        """Sorted row indices of up to ``cap`` points of one class, drawn
+        uniformly without replacement with the given seed.
+
+        Input and layer profiles both select their points here, so for the
+        same (cap, seed) they compare the same samples.
+        """
+        idx = self.class_indices(class_id)
+        if len(idx) <= cap:
+            return idx
+        rng = np.random.default_rng(seed)
+        return idx[np.sort(rng.choice(len(idx), size=cap, replace=False))]
+
 
 # ---------------------------------------------------------------------------
 # IDX files (big-endian magic + dims, u8 payload)

@@ -46,6 +46,7 @@ __all__ = [
     "rips_persistence",
     "betti_at",
     "betti_curve",
+    "b0_curve",
     "brute_force_betti",
     "complex_betti",
     "barcode_to_text",
@@ -694,6 +695,34 @@ def betti_curve(barcode: Barcode, dim: int, radii: Sequence[float]) -> np.ndarra
     for k, r in enumerate(radii):
         out[k] = int(np.sum((births <= r) & (r < deaths))) if len(ivs) else 0
     return out
+
+
+def b0_curve(dist, radii: Sequence[float]) -> np.ndarray:
+    """Exact dim-0 Betti curve of the Rips filtration, without a barcode.
+
+    Equals ``betti_curve(rips_persistence(dist, 1), 0, radii)``.  The finite
+    dim-0 deaths of a Rips filtration are the edge weights of a minimum
+    spanning tree (single linkage; Gower & Ross 1969), so
+    b0(r) = 1 + #{tree edges with weight > r} for r >= 0, and 0 for r < 0.
+    """
+    # imported here: only this path needs csgraph, and it adds ~30 ms to
+    # every process that imports the package
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    arr = as_distance_matrix(dist)
+    n = arr.shape[0]
+    upper = np.triu_indices(n, k=1)
+    # csgraph reads a zero entry as "no edge", so an edge between coincident
+    # points would be missing from the tree.  Dense ranks 1, 2, ... order the
+    # edges as the distances do and are never zero.
+    values, ranks = np.unique(arr[upper], return_inverse=True)
+    graph = np.zeros((n, n))
+    graph[upper] = ranks + 1
+    tree_ranks = minimum_spanning_tree(graph).data.astype(np.int64)
+    weights = np.sort(values[tree_ranks - 1])
+    r = np.asarray(radii, dtype=np.float64)
+    longer = len(weights) - np.searchsorted(weights, r, side="right")
+    return np.where(r >= 0, 1 + longer, 0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

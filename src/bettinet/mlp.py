@@ -467,15 +467,13 @@ def extract_class_activations(
     seed: int,
 ) -> ActivationDump:
     """Post-batch-norm layer outputs of up to ``cap`` points of one class,
-    subsampled uniformly with the given seed (inference mode)."""
+    the rows ``Dataset.sample_class_indices`` draws with the given seed
+    (inference mode)."""
     if not 1 <= layer <= len(net.hidden):
         raise ValueError(f"layer must be in 1..{len(net.hidden)}, got {layer}")
-    idx = dataset.class_indices(class_id)
+    idx = dataset.sample_class_indices(class_id, cap, seed)
     if len(idx) == 0:
         raise EmptyClassError(f"class {class_id} has no samples")
-    if len(idx) > cap:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(idx, size=cap, replace=False))
     activations, _, _ = forward(net, dataset.features[idx])
     out = activations[layer - 1].copy()
     out.flags.writeable = False

@@ -317,7 +317,6 @@ def test_criterion_09_desk_scale_trends(desk_scale_idx):
         lr=0.05,
         batch_size=32,
         per_class_cap=200,
-        jobs=2,
     )
     assert len(sweep.rows) == 9
 

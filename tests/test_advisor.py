@@ -77,6 +77,52 @@ def test_layer_profile_isometric_net_preserves_profile():
         assert np.array_equal(inp.curves[c].b1, lay.curves[c].b1)
 
 
+def test_input_and_layer_profiles_sample_the_same_rows():
+    # labels interleaved and the cap below the class size: the two profiles
+    # must still subsample the same points, or their barcodes would differ
+    ds = blobs_dataset(per_class=40)
+    order = np.random.default_rng(7).permutation(len(ds))
+    mixed = Dataset(features=ds.features[order] + 20.0, labels=ds.labels[order], n_classes=2)
+    net = mlp.build_network([2, 2, 2], mlp.relu_activation(), seed=0, batch_norm=False)
+    net.hidden[0].dense.weight[:] = np.eye(2)
+    net.hidden[0].dense.bias[:] = 50.0  # a translation: distances are unchanged
+    inp = advisor.input_profile(mixed, per_class_cap=15, seed=4)
+    lay = advisor.layer_profile(net, mixed, layer=1, per_class_cap=15, seed=4)
+    for c in (0, 1):
+        deaths = [
+            sorted(iv.death for iv in prof.curves[c].barcode.intervals[0] if iv.death is not None)
+            for prof in (inp, lay)
+        ]
+        assert len(deaths[0]) == 14
+        assert np.allclose(deaths[0], deaths[1], rtol=1e-9, atol=0.0)
+
+
+def test_profile_computes_each_distance_matrix_once(monkeypatch):
+    calls = []
+    real = advisor.pairwise_distances
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(advisor, "pairwise_distances", counted)
+    advisor.input_profile(blobs_dataset(per_class=20), per_class_cap=20)
+    assert calls == [20, 20]  # one per class, shared by the grid and the curves
+
+
+def test_b0_only_layer_profile_matches_dim1_profile():
+    ds = circle_dataset()
+    net = mlp.build_network([2, 3, 2], mlp.relu_activation(), seed=0, batch_norm=False)
+    full = advisor.layer_profile(net, ds, layer=1, per_class_cap=40, seed=1)
+    b0_only = advisor.layer_profile(net, ds, layer=1, per_class_cap=40, seed=1, max_dim=0)
+    assert np.array_equal(full.grid, b0_only.grid)
+    for c in (0, 1):
+        assert np.array_equal(full.curves[c].b0, b0_only.curves[c].b0)
+        assert b0_only.curves[c].b1 is None and b0_only.curves[c].barcode is None
+    with pytest.raises(ValueError, match="max_dim"):
+        advisor.layer_profile(net, ds, layer=1, max_dim=2)
+
+
 def test_input_profile_invariant_under_rotation():
     ds = blobs_dataset(per_class=30)
     theta = 1.1
@@ -152,6 +198,39 @@ def test_width_sweep_shapes_and_determinism():
     assert len(a.rows) == 4
     assert a.records() == b.records()
     assert all(len(r.split(",")) == 4 for r in a.records())
+
+
+def test_width_sweep_b0_matches_dim1_layer_profile():
+    train, test = make_image_dataset(120, 60, seed=3, side=6, classes=3)
+    config = dict(epochs=2, lr=0.05, batch_size=16)
+    result = advisor.width_sweep(
+        widths=[1, 2, 6],
+        seeds=[1],
+        train_dataset=train,
+        test_dataset=test,
+        activation=mlp.relu_activation(),
+        per_class_cap=30,
+        **config,
+    )
+    for row in result.rows:
+        # the same net width_sweep trained: build and training are seeded
+        net = mlp.build_network(
+            [train.dim] + [row.width] * 3 + [train.n_classes],
+            mlp.relu_activation(),
+            seed=row.seed,
+            batch_norm=True,
+        )
+        mlp.train_sgd(net, train, mlp.TrainConfig(seed=row.seed, **config))
+        full = advisor.layer_profile(
+            net, train, layer=3, per_class_cap=30, seed=row.seed, max_dim=1
+        )
+        assert np.array_equal(row.profile.grid, full.grid)
+        for c in full.class_ids():
+            swept = row.profile.curves[c]
+            assert swept.b0_at_min_radius == full.curves[c].b0_at_min_radius
+            assert np.array_equal(swept.b0, full.curves[c].b0)
+    # narrow layers collapse samples onto coincident activation vectors
+    assert min(row.max_b0_min_radius for row in result.rows) < 30
 
 
 def test_width_sweep_single_width_and_width_one():

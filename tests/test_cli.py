@@ -186,6 +186,29 @@ def test_sweep_row_count(idx_dir, tmp_path):
     assert len(rows) == 9
 
 
+def test_sweep_on_csv_warns_that_accuracy_uses_the_training_split(tmp_path, capsys):
+    train, _ = data.make_image_dataset(60, 10, seed=2, side=4, classes=2)
+    csv = tmp_path / "train.csv"
+    np.savetxt(csv, np.column_stack([train.features, train.labels]), delimiter=",", fmt="%.17g")
+    args = [
+        "sweep",
+        "--data", str(csv),
+        "--widths", "2",
+        "--seeds", "1",
+        "--epochs", "1",
+        "--cap", "10",
+    ]
+    assert main(args + ["--out", str(tmp_path / "implicit")]) == 0
+    warning = capsys.readouterr().err
+    assert warning.count("\n") == 1
+    assert "warning" in warning and "training split" in warning
+    assert main(args + ["--test-data", str(csv), "--out", str(tmp_path / "explicit")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("sweep.csv", "sweep.txt"):
+        implicit = (tmp_path / "implicit" / name).read_bytes()
+        assert implicit == (tmp_path / "explicit" / name).read_bytes()
+
+
 def test_cover_command_trained_net(idx_dir, tmp_path):
     ck_dir = tmp_path / "t"
     assert main(

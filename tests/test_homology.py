@@ -217,6 +217,48 @@ def test_dim0_curve_non_increasing_and_ends_at_one():
     assert curve[-1] == 1
 
 
+def _random_cloud(kind, rng):
+    if kind == "single":
+        return rng.normal(size=(1, 2))
+    n = int(rng.integers(4, 26))
+    pts = rng.normal(size=(n, int(rng.choice([2, 3]))))
+    if kind == "duplicates":
+        pts[rng.integers(0, n, size=n // 3)] = pts[rng.integers(0, n)]
+        pts[-1] = pts[0]
+    elif kind == "collapsed":  # n samples on 1 to 3 distinct points
+        pts = pts[rng.integers(0, int(rng.integers(1, 4)), size=n)]
+    elif kind == "rounded":  # tied distances, and some duplicates
+        pts = np.round(pts, 1)
+    return pts
+
+
+def _plain_mst_b0(d, radii):
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
+    weights = minimum_spanning_tree(d).data
+    return np.array([1 + np.sum(weights > r) if r >= 0 else 0 for r in radii])
+
+
+CLOUD_KINDS = ("generic", "duplicates", "collapsed", "rounded", "single")
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+def test_b0_curve_matches_rips_barcode(kind):
+    rng = np.random.default_rng(CLOUD_KINDS.index(kind))
+    plain_wrong = 0
+    for _ in range(40):
+        d = H.pairwise_distances(_random_cloud(kind, rng))
+        # every distance is a grid point, so ties between a radius and an
+        # edge weight are checked, as are radii 0 and below 0
+        radii = np.concatenate([[-1.0, -1e-12, 0.0], np.unique(d), rng.uniform(0, 2 * d.max(), 8)])
+        expected = H.betti_curve(H.rips_persistence(d, max_dim=1), 0, radii)
+        assert np.array_equal(H.b0_curve(d, radii), expected)
+        plain_wrong += not np.array_equal(_plain_mst_b0(d, radii), expected)
+    # csgraph drops zero-weight edges: the duplicate cases must catch that
+    if kind in ("duplicates", "collapsed"):
+        assert plain_wrong > 0
+
+
 def test_barcode_invariance_under_permutation_and_rigid_motion():
     rng = np.random.default_rng(7)
     pts = rng.normal(size=(9, 2))
