@@ -58,6 +58,10 @@ def _load_dataset(path_text: str, label_col: int) -> data.Dataset:
     return data.load_csv_dataset(path, label_col=label_col)
 
 
+def _warn_training_accuracy(reason: str):
+    print(f"warning: {reason}; accuracy is measured on the training split", file=sys.stderr)
+
+
 def _load_test_dataset(args) -> data.Dataset:
     if getattr(args, "test_data", None):
         path = Path(args.test_data)
@@ -70,11 +74,7 @@ def _load_test_dataset(args) -> data.Dataset:
             return data.load_idx_dataset(path, split="test")
         except FileNotFoundError:
             pass
-    print(
-        f"warning: no --test-data and no test split in {path}; "
-        "accuracy is measured on the training split",
-        file=sys.stderr,
-    )
+    _warn_training_accuracy(f"no --test-data and no test split in {path}")
     return _load_dataset(args.data, args.label_col)
 
 
@@ -166,6 +166,7 @@ def cmd_analyze(args) -> int:
     lay = advisor.layer_profile(
         net, dataset, layer=args.layer, per_class_cap=args.cap, seed=args.seed, jobs=args.jobs
     )
+    _warn_training_accuracy("analyze reads only --data")
     acc = mlp.evaluate_accuracy(net, dataset)
     report = advisor.compare_profiles(inp, lay, threshold_fraction=args.threshold, accuracy=acc)
     _write_profile_files(out, "input", inp)

@@ -515,7 +515,26 @@ def save_checkpoint(net: Network, path):
         f.write("\n")
 
 
+def _load_dense(doc, where: str, fan_in: Optional[int]) -> DenseLayer:
+    weight, bias = np.asarray(doc["weight"]), np.asarray(doc["bias"])
+    if weight.ndim != 2:
+        raise ValueError(f"{where}: weight has shape {weight.shape}, not (out, in)")
+    if fan_in is not None and weight.shape[1] != fan_in:
+        raise ValueError(
+            f"{where}: weight takes {weight.shape[1]} inputs, the layer below gives {fan_in}"
+        )
+    if bias.shape != (weight.shape[0],):
+        raise ValueError(f"{where}: bias has shape {bias.shape}, expected ({weight.shape[0]},)")
+    return DenseLayer(weight=weight, bias=bias)
+
+
 def load_checkpoint(path) -> Network:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Raises ValueError, naming the layer, when a weight does not take the
+    width of the layer below or a bias or batch-norm vector does not match
+    its layer's width.
+    """
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format") != "bettinet-checkpoint" or doc.get("version") != CHECKPOINT_VERSION:
@@ -523,19 +542,23 @@ def load_checkpoint(path) -> Network:
     act = doc["activation"]
     activation = ActivationFn(act["kind"], tuple(act["coeffs"]))
     hidden = []
-    for blk in doc["hidden"]:
-        dense = DenseLayer(weight=np.asarray(blk["weight"]), bias=np.asarray(blk["bias"]))
+    fan_in = None
+    for layer, blk in enumerate(doc["hidden"], start=1):
+        dense = _load_dense(blk, f"{path}: layer {layer}", fan_in)
+        fan_in = dense.weight.shape[0]
         norm = None
         if blk["norm"] is not None:
             nd = blk["norm"]
-            norm = BatchNorm(
-                gamma=np.asarray(nd["gamma"]),
-                beta=np.asarray(nd["beta"]),
-                running_mean=np.asarray(nd["running_mean"]),
-                running_var=np.asarray(nd["running_var"]),
-                eps=nd["eps"],
-                momentum=nd["momentum"],
-            )
+            vectors = {
+                key: np.asarray(nd[key]) for key in ("gamma", "beta", "running_mean", "running_var")
+            }
+            for key, vec in vectors.items():
+                if vec.shape != (fan_in,):
+                    raise ValueError(
+                        f"{path}: layer {layer}: batch-norm {key} has shape {vec.shape}, "
+                        f"expected ({fan_in},)"
+                    )
+            norm = BatchNorm(**vectors, eps=nd["eps"], momentum=nd["momentum"])
         hidden.append(HiddenBlock(dense=dense, norm=norm))
-    output = DenseLayer(weight=np.asarray(doc["output"]["weight"]), bias=np.asarray(doc["output"]["bias"]))
+    output = _load_dense(doc["output"], f"{path}: layer {len(hidden) + 1} (output)", fan_in)
     return Network(hidden=hidden, output=output, activation=activation)

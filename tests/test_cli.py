@@ -111,6 +111,20 @@ def test_homology_malformed_and_empty_csv(tmp_path):
     assert main(["homology", "--points", str(empty), "--out", str(tmp_path / "o2")]) == 1
 
 
+def test_homology_filtration_size_guard_exits_1(tmp_path, capsys, monkeypatch):
+    from bettinet import homology
+
+    pts = tmp_path / "sq.csv"
+    pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+    # the filled square: 4 vertices, 6 edges, 4 triangles
+    monkeypatch.setattr(homology, "FILTRATION_SIZE_GUARD", 13)
+    out = tmp_path / "h"
+    assert main(["homology", "--points", str(pts), "--max-radius", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "14 simplices" in err
+    assert not (out / "barcode.txt").exists()
+
+
 def test_train_twice_identical_checkpoints(idx_dir, tmp_path):
     args = [
         "train",
@@ -137,7 +151,7 @@ def test_train_bad_magic_is_format_error(tmp_path):
     assert rc == 1
 
 
-def test_analyze_writes_profiles_for_all_classes(idx_dir, tmp_path):
+def test_analyze_writes_profiles_for_all_classes(idx_dir, tmp_path, capsys):
     ck = tmp_path / "t" / "checkpoint.json"
     assert main(
         [
@@ -161,6 +175,9 @@ def test_analyze_writes_profiles_for_all_classes(idx_dir, tmp_path):
         ]
     )
     assert rc == 0
+    warning = capsys.readouterr().err
+    assert warning.count("\n") == 1
+    assert "warning" in warning and "training split" in warning
     for c in range(4):
         assert (out / f"input_class_{c}.csv").exists()
         assert (out / f"layer3_class_{c}.csv").exists()

@@ -192,6 +192,85 @@ def test_optimized_matches_reference_reduction():
         assert fast.essential_count == slow.essential_count
 
 
+def _cofacets_by_lookup(filt, d):
+    """Cofacet lists and latest facets of degree d through a dict of vertex
+    tuples."""
+    rank = {tuple(v): r for r, v in enumerate(filt.verts_by_dim[d].tolist())}
+    cofacets = [[] for _ in rank]
+    latest = []
+    for t, verts in enumerate(filt.verts_by_dim[d + 1].tolist()):
+        facets = [rank[tuple(verts[:j] + verts[j + 1 :])] for j in range(d + 2)]
+        for f in facets:
+            cofacets[f].append(t)
+        latest.append(max(facets))
+    return cofacets, latest
+
+
+@pytest.mark.parametrize("kind", ["generic", "duplicates", "rounded"])
+@pytest.mark.parametrize("max_dim", [1, 2])
+def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
+    rng = np.random.default_rng([12, max_dim, len(kind)])
+    non_apparent = 0
+    for _ in range(4):
+        pts = _random_cloud(kind, rng, sizes=(20, 41))
+        d = H.pairwise_distances(pts)
+        radius = float(np.quantile(d[np.triu_indices(len(d), 1)], rng.uniform(0.15, 0.3)))
+        filt = H.build_rips(d, max_dim, radius)
+        fast = H.compute_persistence(filt)
+        slow = H.reference_persistence(filt)
+        assert fast.intervals == slow.intervals
+        assert fast.paired_count == slow.paired_count
+        assert fast.essential_count == slow.essential_count
+
+        for deg in range(filt.top_dim - 1, 0, -1):
+            indptr, rows, latest = H._cofacets(filt, deg)
+            cofacets, expected_latest = _cofacets_by_lookup(filt, deg)
+            assert [rows[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == cofacets
+            assert latest.tolist() == expected_latest
+        # the dim-1 block must reduce the columns that are neither cleared by
+        # a dim-0 death nor apparent pairs
+        negative_edges = H._dim0_pairs(filt)[1]
+        non_apparent += sum(
+            1
+            for c, cof in enumerate(cofacets)
+            if cof and not negative_edges[c] and expected_latest[cof[0]] != c
+        )
+    assert non_apparent > 0
+
+
+def test_filtration_order_equals_lexsort_on_tied_input():
+    rng = np.random.default_rng(13)
+    pts = rng.integers(0, 3, size=(14, 2)).astype(float)  # ties and duplicates
+    d = H.pairwise_distances(pts)
+    filt = H.build_rips(d, 2, 2.0)
+    cliques = H._clique_simplices((d <= 2.0) & ~np.eye(14, dtype=bool), 3)
+    for verts, births, expected in zip(filt.verts_by_dim, filt.births_by_dim, cliques):
+        assert sorted(map(tuple, verts.tolist())) == sorted(expected)
+        shuffled = rng.permutation(len(births))
+        v, b = verts[shuffled], births[shuffled]
+        order = np.lexsort(tuple(v[:, c] for c in range(v.shape[1] - 1, -1, -1)) + (b,))
+        assert np.array_equal(v[order], verts)
+        assert np.array_equal(b[order], births)
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
+def test_size_guard_counts_before_building(monkeypatch, max_dim):
+    rng = np.random.default_rng(14)
+    d = H.pairwise_distances(rng.normal(size=(12, 3)))
+    filt = H.build_rips(d, max_dim, 3.5)
+    monkeypatch.setattr(H, "FILTRATION_SIZE_GUARD", 0)
+    with pytest.raises(H.FiltrationSizeError) as info:
+        H.build_rips(d, max_dim, 3.5)
+    assert isinstance(info.value, ValueError)
+    # exact up to triangles; tetrahedra are bounded from above
+    if max_dim < 2:
+        assert info.value.count == filt.simplex_count
+    else:
+        assert info.value.count >= filt.simplex_count
+    monkeypatch.setattr(H, "FILTRATION_SIZE_GUARD", info.value.count)
+    assert H.build_rips(d, max_dim, 3.5).counts() == filt.counts()
+
+
 def test_oracle_equivalence_random_clouds():
     rng = np.random.default_rng(5)
     for _ in range(60):
@@ -217,10 +296,10 @@ def test_dim0_curve_non_increasing_and_ends_at_one():
     assert curve[-1] == 1
 
 
-def _random_cloud(kind, rng):
+def _random_cloud(kind, rng, sizes=(4, 26)):
     if kind == "single":
         return rng.normal(size=(1, 2))
-    n = int(rng.integers(4, 26))
+    n = int(rng.integers(*sizes))
     pts = rng.normal(size=(n, int(rng.choice([2, 3]))))
     if kind == "duplicates":
         pts[rng.integers(0, n, size=n // 3)] = pts[rng.integers(0, n)]

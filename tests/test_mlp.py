@@ -176,6 +176,29 @@ def test_checkpoint_version_guard(tmp_path):
         mlp.load_checkpoint(p)
 
 
+@pytest.mark.parametrize(
+    "layer, corrupt, message",
+    [
+        (1, lambda blk: blk["bias"].pop(), "layer 1: bias has shape (4,)"),
+        (2, lambda blk: [row.pop() for row in blk["weight"]], "layer 2: weight takes 4 inputs"),
+        (1, lambda blk: blk["norm"]["running_var"].pop(), "layer 1: batch-norm running_var"),
+        (3, lambda blk: [row.append(0.0) for row in blk["weight"]], "layer 3 (output): weight"),
+    ],
+)
+def test_checkpoint_shapes_checked_at_load(tmp_path, layer, corrupt, message):
+    import json
+    import re
+
+    net = mlp.build_network([2, 5, 3, 2], mlp.relu_activation(), seed=8, batch_norm=True)
+    path = tmp_path / "net.json"
+    mlp.save_checkpoint(net, path)
+    doc = json.loads(path.read_text())
+    corrupt((doc["hidden"] + [doc["output"]])[layer - 1])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mlp.load_checkpoint(path)
+
+
 def test_poly_forward_agrees_with_symbolic_composition():
     from bettinet.semialgebraic import compose_logit_polynomials
 
