@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 __all__ = [
@@ -211,8 +212,8 @@ def mayer_vietoris_bound(cover_betti: dict[frozenset, list[int]], k: int) -> int
     for j in range(k + 1):
         i = k - j
         size = j + 1
-        for subset in _subsets_of_size(indices, size):
-            bettis = table.get(subset)
+        for subset in combinations(indices, size):
+            bettis = table.get(frozenset(subset))
             if bettis is None:
                 warned_missing = True
                 continue
@@ -221,12 +222,6 @@ def mayer_vietoris_bound(cover_betti: dict[frozenset, list[int]], k: int) -> int
     if warned_missing:
         warnings.warn("cover table is missing some index subsets; treated as empty", stacklevel=2)
     return total
-
-
-def _subsets_of_size(items: list, size: int):
-    from itertools import combinations
-
-    return (frozenset(c) for c in combinations(items, size))
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,7 @@ def cmd_homology(args) -> int:
     _write_config_echo(out, "homology", args)
     points, _ = data.load_csv_points(args.points, label_col=args.label_col)
     dist = homology.pairwise_distances(points)
-    max_radius = args.max_radius if args.max_radius is not None else None
-    barcode = homology.rips_persistence(dist, max_dim=args.max_dim, max_radius=max_radius)
+    barcode = homology.rips_persistence(dist, max_dim=args.max_dim, max_radius=args.max_radius)
     text = homology.barcode_to_text(barcode)
     (out / "barcode.txt").write_text(text)
     (out / "barcode.svg").write_text(homology.barcode_svg(barcode))

@@ -13,11 +13,13 @@ Conventions (they matter for interpreting radius axes):
   guarantees faces precede cofaces deterministically.
 * Infinite deaths are represented by ``None``, never by a float.
 
-Persistence follows Ripser (Bauer, J. Appl. Comput. Topol. 2021).  Every
-degree's cofacet lists come from one routine: a colex (combinatorial) index
-of the faces and one sparse transpose.  Apparent pairs are taken without
-reduction.  ``build_rips`` counts simplices before allocating any and raises
-``FiltrationSizeError`` above ``FILTRATION_SIZE_GUARD``.
+Persistence follows Ripser (Bauer, J. Appl. Comput. Topol. 2021): every
+degree, dim 0 included, is one coboundary reduction with clearing; there is
+no union-find.  The cofacet lists of every degree come from one routine: a
+colex (combinatorial) index of the faces and one sparse transpose.  Apparent
+pairs are taken without reduction.  ``build_rips`` counts simplices before
+allocating any and raises ``FiltrationSizeError`` above
+``FILTRATION_SIZE_GUARD``.  One counter answers every Betti query.
 
 All containers here are immutable after construction and safe to share
 across threads; independent filtrations may be processed concurrently.
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 __all__ = [
     "GeometryError",
@@ -139,6 +140,10 @@ def as_distance_matrix(dist) -> np.ndarray:
 
 def pairwise_distances(points) -> np.ndarray:
     """Euclidean distance matrix; each pair computed once, so symmetry is exact."""
+    # imported here, so that commands that compute no distances do not load
+    # scipy.spatial
+    from scipy.spatial.distance import pdist, squareform
+
     cloud = as_point_cloud(points)
     if cloud.shape[0] == 1:
         out = np.zeros((1, 1))
@@ -426,37 +431,6 @@ def _assemble_barcode(
 # ---------------------------------------------------------------------------
 
 
-def _dim0_pairs(filt: Filtration):
-    """Union-find sweep over edges in filtration order.
-
-    The edges that merge two components are exactly the pivot edges of the
-    left-to-right column reduction, and the root with the smaller (birth,
-    index) survives a merge, so the dim-0 barcode is the reduction's.
-    """
-    births0 = filt.births_by_dim[0].tolist()
-    parent = list(range(filt.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    bars: list[Interval] = []
-    negative = np.zeros(len(filt.births_by_dim[1]), dtype=bool)
-    edges = zip(filt.verts_by_dim[1].tolist(), filt.births_by_dim[1].tolist())
-    for rank, ((u, v), death) in enumerate(edges):
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if (births0[ru], ru) > (births0[rv], rv):
-                ru, rv = rv, ru
-            parent[rv] = ru
-            negative[rank] = True
-            bars.append(Interval(births0[rv], death))
-    bars += [Interval(births0[r], None) for r in sorted({find(i) for i in range(len(parent))})]
-    return bars, negative
-
-
 def _cofacets(filt: Filtration, d: int):
     """Cofacet lists of the degree-d coboundary block, in O(nonzeros).
 
@@ -464,7 +438,7 @@ def _cofacets(filt: Filtration, d: int):
     of the (d+1)-cofacets of d-simplex c in ascending (filtration) order, and
     latest[t] is the rank of the last facet of (d+1)-simplex t.
     """
-    from scipy.sparse import csr_matrix  # already loaded by scipy.spatial
+    from scipy.sparse import csr_matrix
 
     faces, cof = filt.verts_by_dim[d], filt.verts_by_dim[d + 1]
     n, k, m = filt.n_vertices, d + 2, len(cof)
@@ -493,13 +467,15 @@ def _cofacets(filt: Filtration, d: int):
 
 
 def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
-    """Reduce the degree-d coboundary block; returns (bars_d, killed_rows,
-    pair_count), where bars_d leaves out zero-length bars.
+    """Reduce the degree-d coboundary block; returns (bars_d, killed_rows),
+    where bars_d leaves out zero-length bars and killed_rows marks the
+    (d+1)-simplices paired with a d-simplex.
 
-    Columns are the non-cleared d-simplices processed in reverse filtration
-    order; rows are (d+1)-simplices.  The pivot of a reduced column is the
-    earliest cofacet, pairing (d-simplex birth, (d+1)-simplex death) exactly
-    as the left-to-right boundary reduction does.
+    Serves every degree, dim 0 included.  Columns are the non-cleared
+    d-simplices processed in reverse filtration order; rows are
+    (d+1)-simplices.  The pivot of a reduced column is the earliest cofacet,
+    pairing (d-simplex birth, (d+1)-simplex death) exactly as the
+    left-to-right boundary reduction does.
     """
     births_d, births_up = filt.births_by_dim[d], filt.births_by_dim[d + 1]
     indptr, rows, latest = _cofacets(filt, d)
@@ -524,10 +500,12 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     for c in np.flatnonzero(pending)[::-1].tolist():
         col = rows[indptr[c] : indptr[c + 1]]
         low = None
+        changed = False
         if col.size:
             work[col] = True
             low, high = int(col[0]), int(col[-1])
             while owner[low] >= 0:
+                changed = True
                 o = int(owner[low])
                 add = reduced.get(o)
                 if add is None:
@@ -542,41 +520,37 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
         if low is None:
             bars.append(Interval(float(births_d[c]), None))
             continue
-        reduced[c] = low + np.flatnonzero(work[low : high + 1])
+        # an unchanged column is its cofacet list, which the lookup above reads
+        if changed:
+            reduced[c] = low + np.flatnonzero(work[low : high + 1])
         work[low : high + 1] = False
         owner[low] = c
         if births_d[c] != births_up[low]:
             bars.append(Interval(float(births_d[c]), float(births_up[low])))
-    killed = owner >= 0
-    return bars, killed, int(np.count_nonzero(killed))
+    return bars, owner >= 0
 
 
 def compute_persistence(filt: Filtration) -> Barcode:
     """Standard Z/2 persistence pairing of the filtration.
 
-    Dim 0 uses a union-find sweep and dims >= 1 reduce the coboundary blocks
-    with clearing and apparent pairs; all are pure speedups whose output is
-    identical to the plain left-to-right column reduction (see
-    ``reference_persistence``).
+    Every reported degree, dim 0 included, reduces its coboundary block,
+    with the rows killed in one degree clearing the columns of the next.
+    Cohomology gives the same pairs as homology (de Silva, Morozov and
+    Vejdemo-Johansson 2011), and clearing and apparent pairs are pure
+    speedups, so the output is identical to the plain left-to-right column
+    reduction (see ``reference_persistence``).
     """
     bars: dict[int, list[Interval]] = {}
-    bars0, negative_edges = _dim0_pairs(filt)
-    bars[0] = bars0
-    paired = sum(1 for iv in bars0 if not iv.is_infinite)
-    essential = sum(1 for iv in bars0 if iv.is_infinite)
-
-    cleared = negative_edges
-    for d in range(1, filt.top_dim):
-        bars_d, killed, pair_count = _coboundary_block(filt, d, cleared)
-        bars[d] = bars_d
-        paired += pair_count
-        essential += sum(1 for iv in bars_d if iv.is_infinite)
-        cleared = killed
+    paired = essential = 0
+    cleared = np.zeros(filt.n_vertices, dtype=bool)
+    for d in range(filt.top_dim):
+        bars[d], cleared = _coboundary_block(filt, d, cleared)
+        paired += int(np.count_nonzero(cleared))
+        essential += sum(1 for iv in bars[d] if iv.is_infinite)
 
     # top-dimensional simplices that were not killed are essential classes
     # in an unreported dimension; they still enter the simplex accounting
-    if filt.top_dim >= 1:
-        essential += int(len(filt.births_by_dim[filt.top_dim]) - np.sum(cleared))
+    essential += int(len(filt.births_by_dim[filt.top_dim]) - np.sum(cleared))
     return _assemble_barcode(
         bars,
         n_simplices=filt.simplex_count,
@@ -682,22 +656,24 @@ def betti_at(barcode: Barcode, dim: int, radius: float) -> int:
             "counts may miss later simplices",
             stacklevel=2,
         )
-    count = 0
-    for iv in barcode.intervals.get(dim, ()):
-        if iv.birth <= radius and (iv.death is None or radius < iv.death):
-            count += 1
-    return count
+    return int(betti_curve(barcode, dim, [radius])[0])
 
 
 def betti_curve(barcode: Barcode, dim: int, radii: Sequence[float]) -> np.ndarray:
     """``betti_at`` evaluated on a radius grid."""
     ivs = barcode.intervals.get(dim, ())
-    births = np.array([iv.birth for iv in ivs])
-    deaths = np.array([iv.death if iv.death is not None else np.inf for iv in ivs])
-    out = np.zeros(len(radii), dtype=np.int64)
-    for k, r in enumerate(radii):
-        out[k] = int(np.sum((births <= r) & (r < deaths))) if len(ivs) else 0
-    return out
+    deaths = [iv.death for iv in ivs if iv.death is not None]
+    return _alive([iv.birth for iv in ivs], deaths, radii)
+
+
+def _alive(births, deaths, radii) -> np.ndarray:
+    """Number of bars with birth <= r < death at each radius r, given the
+    births and the finite deaths: #{birth <= r} - #{death <= r}, which is
+    exact because no bar dies before it is born."""
+    r = np.asarray(radii, dtype=np.float64)
+    born = np.searchsorted(np.sort(births), r, side="right")
+    died = np.searchsorted(np.sort(deaths), r, side="right")
+    return (born - died).astype(np.int64)
 
 
 def b0_curve(dist, radii: Sequence[float]) -> np.ndarray:
@@ -705,7 +681,8 @@ def b0_curve(dist, radii: Sequence[float]) -> np.ndarray:
 
     Equals ``betti_curve(rips_persistence(dist, 1), 0, radii)``.  The finite
     dim-0 deaths of a Rips filtration are the edge weights of a minimum
-    spanning tree (single linkage; Gower & Ross 1969), so
+    spanning tree (single linkage; Gower & Ross 1969), so b0 counts n bars
+    born at 0 that die at the tree's edge weights, the last one never:
     b0(r) = 1 + #{tree edges with weight > r} for r >= 0, and 0 for r < 0.
     """
     # imported here: only this path needs csgraph, and it adds ~30 ms to
@@ -722,10 +699,7 @@ def b0_curve(dist, radii: Sequence[float]) -> np.ndarray:
     graph = np.zeros((n, n))
     graph[upper] = ranks + 1
     tree_ranks = minimum_spanning_tree(graph).data.astype(np.int64)
-    weights = np.sort(values[tree_ranks - 1])
-    r = np.asarray(radii, dtype=np.float64)
-    longer = len(weights) - np.searchsorted(weights, r, side="right")
-    return np.where(r >= 0, 1 + longer, 0).astype(np.int64)
+    return _alive(np.zeros(n), values[tree_ranks - 1], radii)
 
 
 # ---------------------------------------------------------------------------

@@ -393,8 +393,7 @@ def _kink_margin(net: Network, x: np.ndarray) -> float:
     """Smallest |pre-activation| anywhere; ReLU derivative is only trusted
     away from zero crossings."""
     margin = np.inf
-    cur = x
-    caches, _, _ = _forward_train(net, cur)
+    caches, _, _ = _forward_train(net, x)
     for cache in caches:
         margin = min(margin, float(np.min(np.abs(cache["z"]))))
     return margin

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bettinet
 from bettinet import data
 from bettinet.cli import main
 
@@ -296,3 +301,15 @@ def test_config_echo_contains_all_flags(idx_dir, tmp_path):
     echo = (out / "config.echo").read_text()
     for key in ("command=sweep", "widths=2", "seeds=1", "epochs=1", "lr=", "batch_size="):
         assert key in echo
+
+
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # the distance routine loads scipy.spatial on its first call, so commands
+    # that compute no distances do not pay for it
+    src = str(Path(bettinet.__file__).resolve().parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import bettinet.cli; "
+        "print('scipy.spatial' in sys.modules)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

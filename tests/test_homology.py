@@ -229,7 +229,7 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
             assert latest.tolist() == expected_latest
         # the dim-1 block must reduce the columns that are neither cleared by
         # a dim-0 death nor apparent pairs
-        negative_edges = H._dim0_pairs(filt)[1]
+        negative_edges = H._coboundary_block(filt, 0, np.zeros(len(d), dtype=bool))[1]
         non_apparent += sum(
             1
             for c, cof in enumerate(cofacets)
@@ -378,6 +378,48 @@ def test_betti_at_warns_beyond_horizon():
     bc = H.compute_persistence(H.build_rips(d, 0, 0.5))
     with pytest.warns(UserWarning):
         H.betti_at(bc, 0, 0.9)
+
+
+def _alive_by_bar(barcode, dim, radii):
+    """Betti numbers by testing birth <= r < death bar by bar."""
+    bars = barcode.intervals.get(dim, ())
+    return [sum(b.birth <= r and (b.death is None or r < b.death) for b in bars) for r in radii]
+
+
+def _barcodes_for_betti_tests(rng):
+    """Rips barcodes capped at the enclosing radius, and cut short, which
+    leaves infinite bars above dim 0; then a hand-made one with tied bars."""
+    for kind in ("generic", "duplicates", "rounded"):
+        for max_dim in (1, 2):
+            for _ in range(3):
+                d = H.pairwise_distances(_random_cloud(kind, rng, sizes=(6, 16)))
+                cut = float(np.quantile(d[np.triu_indices(len(d), 1)], 0.3))
+                yield H.rips_persistence(d, max_dim)
+                yield H.rips_persistence(d, max_dim, cut)
+    iv = H.Interval
+    tied = {0: (iv(0.0, 1.0), iv(0.0, 1.0), iv(0.0, None)), 1: (iv(0.5, None), iv(1.0, 2.0)), 2: ()}
+    yield H.Barcode(tied, n_simplices=0, paired_count=0, essential_count=0, max_radius=math.inf)
+
+
+def test_betti_curve_matches_per_bar_count():
+    rng = np.random.default_rng(15)
+    infinite_above_0 = 0
+    for bc in _barcodes_for_betti_tests(rng):
+        ends = [v for ivs in bc.intervals.values() for b in ivs for v in (b.birth, b.death)]
+        ends = np.array([v for v in ends if v is not None])
+        # every birth and death, the floats next to them, negative and
+        # infinite radii
+        radii = np.concatenate(
+            [[-np.inf, -1.0, -1e-12, 0.0, np.inf], rng.uniform(0, 5, 5)]
+            + [np.nextafter(ends, -np.inf), ends, np.nextafter(ends, np.inf)]
+        )
+        # the dimension above the top one has no bars
+        for dim in range(max(bc.dims()) + 2):
+            assert H.betti_curve(bc, dim, radii).tolist() == _alive_by_bar(bc, dim, radii)
+            inside = radii[radii <= bc.max_radius]
+            assert [H.betti_at(bc, dim, r) for r in inside] == _alive_by_bar(bc, dim, inside)
+        infinite_above_0 += sum(b.is_infinite for d in bc.dims()[1:] for b in bc.intervals[d])
+    assert infinite_above_0 > 0
 
 
 # ---------------------------------------------------------------------------
