@@ -15,11 +15,14 @@ Conventions (they matter for interpreting radius axes):
 
 Persistence follows Ripser (Bauer, J. Appl. Comput. Topol. 2021): every
 degree, dim 0 included, is one coboundary reduction with clearing; there is
-no union-find.  The cofacet lists of every degree come from one routine: a
-colex (combinatorial) index of the faces and one sparse transpose.  Apparent
-pairs are taken without reduction.  ``build_rips`` counts simplices before
-allocating any and raises ``FiltrationSizeError`` above
-``FILTRATION_SIZE_GUARD``.  One counter answers every Betti query.
+no union-find.  Cofacets are implicit, as in Ripser: those of a simplex c
+are c plus one vertex w, born at the largest of c's birth and the edges
+from w to c, so the top dimension is counted but never stored, and a row is
+named by one int64 key (birth rank, then the vertices).  Apparent pairs come
+from one vectorized pass; only the other columns enumerate and reduce their
+cofacet lists.  ``build_rips`` counts simplices before allocating any and
+raises ``FiltrationSizeError`` above ``FILTRATION_SIZE_GUARD``.  One counter
+answers every Betti query.  Distances and persistence use numpy only.
 
 All containers here are immutable after construction and safe to share
 across threads; independent filtrations may be processed concurrently.
@@ -27,6 +30,7 @@ across threads; independent filtrations may be processed concurrently.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -63,9 +67,11 @@ __all__ = [
 ]
 
 BRUTE_FORCE_POINT_GUARD = 16
-# Most simplices, or dense face index entries, a filtration may allocate; each
-# costs about 70 bytes at the peak (measured on clouds of up to 2.6 M).
+# Most simplices a filtration may hold, the unstored top dimension included.
 FILTRATION_SIZE_GUARD = 20_000_000
+# Simplex keys (see _keys) are int64: the distinct edge lengths times
+# n**(max_dim+2) must not pass this.
+_KEY_LIMIT = np.iinfo(np.int64).max
 
 DIM_COLORS = {0: "red", 1: "blue", 2: "green"}
 
@@ -85,9 +91,10 @@ class PointCountError(ValueError):
 class FiltrationSizeError(ValueError):
     """Filtration too large to allocate; ``count`` is the size over the limit."""
 
-    def __init__(self, count: int, what: str):
+    def __init__(self, count: int, what: str, limit: Optional[int] = None):
         super().__init__(
-            f"Rips filtration needs {count} {what}, over the limit of {FILTRATION_SIZE_GUARD}; "
+            f"Rips filtration needs {count} {what}, over the limit of "
+            f"{FILTRATION_SIZE_GUARD if limit is None else limit}; "
             "lower the radius, the dimension or the point count"
         )
         self.count = count
@@ -139,16 +146,20 @@ def as_distance_matrix(dist) -> np.ndarray:
 
 
 def pairwise_distances(points) -> np.ndarray:
-    """Euclidean distance matrix; each pair computed once, so symmetry is exact."""
-    # imported here, so that commands that compute no distances do not load
-    # scipy.spatial
-    from scipy.spatial.distance import pdist, squareform
-
+    """Euclidean distance matrix, equal bit for bit to scipy's
+    ``squareform(pdist(points))``: the squared coordinate differences are
+    summed one coordinate at a time, in order, and each sum is rounded once
+    by the square root.  Symmetry and the zero diagonal are exact, because
+    x_i - x_j is exactly -(x_j - x_i)."""
     cloud = as_point_cloud(points)
-    if cloud.shape[0] == 1:
-        out = np.zeros((1, 1))
-    else:
-        out = squareform(pdist(cloud))
+    n = cloud.shape[0]
+    out = np.zeros((n, n))
+    diff = np.empty((n, n))
+    for x in cloud.T:
+        np.subtract.outer(x, x, out=diff)
+        diff *= diff
+        out += diff
+    np.sqrt(out, out=out)
     out.flags.writeable = False
     return out
 
@@ -160,7 +171,10 @@ def enclosing_radius(dist) -> float:
     contractible: no homology in dims >= 1 survives past it and exactly one
     component remains.  Capping a filtration here changes no interval.
     """
-    arr = as_distance_matrix(dist)
+    return _enclosing_radius(as_distance_matrix(dist))
+
+
+def _enclosing_radius(arr: np.ndarray) -> float:
     if arr.shape[0] == 1:
         return 0.0
     return float(np.min(np.max(arr, axis=1)))
@@ -189,7 +203,14 @@ class Filtration:
 
     ``verts_by_dim[d]`` is an (m_d, d+1) int array whose rows are sorted by
     (birth, lexicographic vertices); ``births_by_dim[d]`` matches row-wise.
-    The global filtration order interleaves dimensions by (birth, dim, lex).
+    Both hold dimensions 0 to ``max_dim``.  The top dimension, ``max_dim+1``,
+    is only counted (``top_count``): its simplices are the cliques one vertex
+    larger, read from ``edge_rank`` when they are needed.  A simplex's birth
+    rank is the rank of its longest edge among ``edge_lengths`` (0 for a
+    vertex); ``edge_rank[u, v]`` is the rank of edge uv, or
+    ``len(edge_lengths)`` where uv is no edge of the filtration, u == v
+    included.  The global filtration order interleaves dimensions by
+    (birth, dim, lex).
     """
 
     n_vertices: int
@@ -197,46 +218,65 @@ class Filtration:
     births_by_dim: tuple[np.ndarray, ...]
     max_dim: int
     max_radius: float
+    edge_rank: np.ndarray
+    edge_lengths: np.ndarray
+    top_count: int
 
     @property
     def top_dim(self) -> int:
-        return len(self.verts_by_dim) - 1
+        return self.max_dim + 1
 
     @property
     def simplex_count(self) -> int:
-        return sum(len(b) for b in self.births_by_dim)
+        return sum(self.counts())
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.births_by_dim)
+        return tuple(len(b) for b in self.births_by_dim) + (self.top_count,)
 
     def simplices(self) -> list[Simplex]:
-        """All simplices in global filtration order (small inputs only)."""
+        """All simplices in global filtration order, the top dimension built
+        here (small inputs only)."""
+        verts, births = list(self.verts_by_dim), list(self.births_by_dim)
+        adj = self.edge_rank < len(self.edge_lengths)
+        cols = list(verts[-1].T)
+        cols, ranks = _extend_cliques(cols, _birth_ranks(self, self.max_dim), adj, self.edge_rank)
+        verts.append(np.column_stack(cols))
+        births.append(self.edge_lengths[ranks])
         items: list[tuple[float, int, tuple[int, ...]]] = []
-        for d, (verts, births) in enumerate(zip(self.verts_by_dim, self.births_by_dim)):
-            for row, birth in zip(verts, births):
+        for d, (vs, bs) in enumerate(zip(verts, births)):
+            for row, birth in zip(vs, bs):
                 items.append((float(birth), d, tuple(int(v) for v in row)))
         items.sort()
         return [Simplex(vertices=v, birth=b) for b, _, v in items]
 
 
-def _check_filtration_size(adj: np.ndarray, max_dim: int) -> None:
-    """Raise FiltrationSizeError before allocating more simplices or face
-    index entries than FILTRATION_SIZE_GUARD.  Triangles are counted exactly
-    as trace(A^3)/6; tetrahedra are bounded by the pairs of common neighbours
-    of each edge, as a tetrahedron's six edges each see its other two."""
+def _check_filtration_size(adj: np.ndarray, max_dim: int) -> list[int]:
+    """Simplex counts of dimensions 0 to max_dim+1, taken without building
+    any simplex; raises FiltrationSizeError when their sum is over
+    FILTRATION_SIZE_GUARD.
+
+    Triangles are trace(A^3)/6.  A tetrahedron is a triangle among the later
+    neighbours of its first vertex, so tetrahedra are the sum over vertices
+    v of trace(X_v^3)/6, X_v the adjacency among v's later neighbours.  They
+    are counted only when the lower dimensions fit under the limit, so an
+    input far over it fails fast."""
     n = adj.shape[0]
-    count = n + int(np.count_nonzero(adj)) // 2
-    index_size = 0
+    counts = [n, int(np.count_nonzero(adj)) // 2]
     if max_dim >= 1:
         # float32 products are exact: every entry is at most n < 2**24
-        common = (adj.astype(np.float32) @ adj.astype(np.float32))[adj].astype(np.int64)
-        count += int(common.sum()) // 6
-        if max_dim >= 2:
-            count += int((common * (common - 1) // 2).sum()) // 12
-        index_size = math.comb(n, max_dim + 1)
-    for size, what in ((count, "simplices"), (index_size, "face index entries")):
-        if size > FILTRATION_SIZE_GUARD:
-            raise FiltrationSizeError(size, what)
+        a = adj.astype(np.float32)
+        counts.append(int((a @ a)[adj].astype(np.int64).sum()) // 6)
+        if max_dim >= 2 and sum(counts) <= FILTRATION_SIZE_GUARD:
+            closed = 0
+            for v in range(n):
+                later = v + 1 + np.flatnonzero(adj[v, v + 1 :])
+                x = a[np.ix_(later, later)]
+                closed += int(((x @ x) * x).astype(np.int64).sum())
+            counts.append(closed // 6)
+    if sum(counts) > FILTRATION_SIZE_GUARD:
+        what = "simplices" if len(counts) == max_dim + 2 else "simplices up to triangles"
+        raise FiltrationSizeError(sum(counts), what)
+    return counts
 
 
 def _extend_cliques(cols: list, ranks: np.ndarray, adj: np.ndarray, edge_rank: np.ndarray):
@@ -260,12 +300,20 @@ def _extend_cliques(cols: list, ranks: np.ndarray, adj: np.ndarray, edge_rank: n
     return cols + [top], rank
 
 
-def _sorted_by_birth_then_lex(cols: list, ranks: np.ndarray, n: int):
-    """Sort by one int64 key: the birth rank, then the vertices as base-n
-    digits.  The size guard keeps the key below 2**63."""
-    key = ranks.astype(np.int64, copy=False)
+def _keys(ranks: np.ndarray, cols: list, n: int) -> np.ndarray:
+    """One int64 key per simplex: the birth rank, then the vertices as
+    base-n digits.  Keys order simplices of one dimension by (birth, lex);
+    build_rips checks that they fit in int64."""
+    key = ranks.astype(np.int64)
     for c in cols:
         key = key * n + c
+    return key
+
+
+def _sorted_by_birth_then_lex(cols: list, ranks: np.ndarray, n: int):
+    """The simplices sorted by key; returns their vertex columns and birth
+    ranks."""
+    key = _keys(ranks, cols, n)
     key.sort()
     digits = []
     for _ in cols:
@@ -274,40 +322,46 @@ def _sorted_by_birth_then_lex(cols: list, ranks: np.ndarray, n: int):
     return digits[::-1], key
 
 
-def build_rips(dist, max_dim: int, max_radius: float) -> Filtration:
+def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtration:
     """Rips filtration with every simplex of dimension <= max_dim+1 whose
-    diameter is <= max_radius.
+    diameter is <= max_radius; ``None`` caps it at the enclosing radius.
 
     The extra dimension is included so that deaths of dim-``max_dim``
-    classes are computed.  ``max_dim`` must be 0, 1 or 2.  Raises
-    FiltrationSizeError, before allocating, above FILTRATION_SIZE_GUARD.
+    classes are computed; it is counted but not stored (see ``Filtration``).
+    ``max_dim`` must be 0, 1 or 2.  Raises FiltrationSizeError, before
+    allocating, above FILTRATION_SIZE_GUARD.
     """
     arr = as_distance_matrix(dist)
     if max_dim not in (0, 1, 2):
         raise ValueError(f"max_dim must be 0, 1 or 2, got {max_dim}")
-    if not max_radius > 0:
+    if max_radius is None:
+        max_radius = max(_enclosing_radius(arr), np.finfo(float).tiny)
+    elif not max_radius > 0:
         raise ValueError(f"max_radius must be positive, got {max_radius}")
     n = arr.shape[0]
     adj = (arr <= max_radius) & ~np.eye(n, dtype=bool)
-    _check_filtration_size(adj, max_dim)
+    counts = _check_filtration_size(adj, max_dim)
 
     # Births are dense ranks of the edge lengths (a simplex's is its longest's).
     iu, ju = np.nonzero(np.triu(adj, 1))
     values, ranks = np.unique(arr[iu, ju], return_inverse=True)
-    edge_rank = np.zeros((n, n), dtype=np.int32)
+    key_range = max(len(values), 1) * n ** (max_dim + 2)
+    if key_range > _KEY_LIMIT:
+        raise FiltrationSizeError(key_range, "sort keys", limit=_KEY_LIMIT)
+    edge_rank = np.full((n, n), len(values), dtype=np.int32)
     edge_rank[iu, ju] = edge_rank[ju, iu] = ranks
-    cols = [iu.astype(np.int32), ju.astype(np.int32)]
 
     verts_by_dim = [np.arange(n, dtype=np.int32).reshape(n, 1)]
     births_by_dim = [np.zeros(n)]
-    for d in range(1, max_dim + 2):
+    cols = [iu.astype(np.int32), ju.astype(np.int32)]
+    for d in range(1, max_dim + 1):
         if d >= 2:
             cols, ranks = _extend_cliques(cols, ranks, adj, edge_rank)
         cols, ranks = _sorted_by_birth_then_lex(cols, ranks, n)
         verts_by_dim.append(np.column_stack(cols))
         births_by_dim.append(values[ranks])
 
-    for a in verts_by_dim + births_by_dim:
+    for a in verts_by_dim + births_by_dim + [edge_rank, values]:
         a.flags.writeable = False
     return Filtration(
         n_vertices=n,
@@ -315,6 +369,9 @@ def build_rips(dist, max_dim: int, max_radius: float) -> Filtration:
         births_by_dim=tuple(births_by_dim),
         max_dim=max_dim,
         max_radius=float(max_radius),
+        edge_rank=edge_rank,
+        edge_lengths=values,
+        top_count=counts[-1],
     )
 
 
@@ -431,103 +488,168 @@ def _assemble_barcode(
 # ---------------------------------------------------------------------------
 
 
-def _cofacets(filt: Filtration, d: int):
-    """Cofacet lists of the degree-d coboundary block, in O(nonzeros).
+# Entries of one block of the (columns x vertices) cofacet rank matrix that
+# the apparent-pair pass holds at a time: 4 MB of int32.
+_BLOCK = 1 << 20
+_EMPTY = np.zeros(0, dtype=np.int64)
 
-    Returns (indptr, rows, latest): rows[indptr[c]:indptr[c+1]] are the ranks
-    of the (d+1)-cofacets of d-simplex c in ascending (filtration) order, and
-    latest[t] is the rank of the last facet of (d+1)-simplex t.
-    """
-    from scipy.sparse import csr_matrix
 
-    faces, cof = filt.verts_by_dim[d], filt.verts_by_dim[d + 1]
-    n, k, m = filt.n_vertices, d + 2, len(cof)
-    # colex index: sum_i C(v_i, i+1) numbers the d-simplices 0 .. C(n, d+1)-1,
-    # which the size guard keeps below 2**31
-    binom = np.array([[math.comb(v, i) for v in range(n)] for i in range(k)], dtype=np.int32)
-    rank_of = np.zeros(math.comb(n, d + 1), dtype=np.int32)
-    rank_of[sum(binom[i + 1][faces[:, i]] for i in range(d + 1))] = np.arange(len(faces))
-    # The facet without vertex j has index sum_{i<j} C(v_i, i+1) plus
-    # sum_{i>j} C(v_i, i), as the vertices after j move down one position;
-    # from facet j-1 to facet j, C(v_{j-1}, j) replaces C(v_j, j).
-    index = sum(binom[i][cof[:, i]] for i in range(1, k))
-    facet_rank = np.empty((m, k), dtype=np.int32)
-    latest = np.full(m, -1, dtype=np.int32)
-    for j in range(k):
-        if j:
-            index += binom[j][cof[:, j - 1]] - binom[j][cof[:, j]]
-        facet_rank[:, j] = rank_of[index]
-        np.maximum(latest, facet_rank[:, j], out=latest)
-    # transposing the facet lists (rows visited in order) sorts each column
-    indptr = np.arange(0, m * k + 1, k, dtype=np.int32)
-    block = csr_matrix(
-        (np.ones(m * k, dtype=np.int8), facet_rank.ravel(), indptr), shape=(m, len(faces))
-    ).tocsc()
-    return block.indptr, block.indices, latest
+def _birth_ranks(filt: Filtration, d: int) -> np.ndarray:
+    """Birth rank of each stored d-simplex (0 for a vertex)."""
+    return np.searchsorted(filt.edge_lengths, filt.births_by_dim[d]).astype(np.int32)
+
+
+def _cofacet_ranks(filt: Filtration, verts: np.ndarray, ranks) -> np.ndarray:
+    """Birth ranks of the cofacets c + w of the simplices c, rows of
+    ``verts`` (or one vertex row) with birth ranks ``ranks``, over the
+    vertices w (last axis); ``len(filt.edge_lengths)`` where c + w is not in
+    the filtration, w in c included."""
+    first, *rest = verts.T
+    m = np.maximum(filt.edge_rank[first], np.asarray(ranks)[..., None])
+    for v in rest:
+        np.maximum(m, filt.edge_rank[v], out=m)
+    return m
+
+
+def _cofacets(filt: Filtration, verts: np.ndarray, rank: int) -> np.ndarray:
+    """Keys of the cofacets of the simplex with vertices ``verts`` and birth
+    rank ``rank``, in filtration order."""
+    m = _cofacet_ranks(filt, verts, rank)
+    w = np.flatnonzero(m < len(filt.edge_lengths))
+    n, k = filt.n_vertices, len(verts) + 1
+    # With p of c's vertices below it, w is digit p of the cofacet's k
+    # digits; the vertices below w keep their digit, the others move down
+    # one.  digits[p] holds the vertices' part of the key.
+    v = verts.tolist()
+    digits = [sum(x * n ** (k - 1 - j - (j >= p)) for j, x in enumerate(v)) for p in range(k)]
+    p = np.searchsorted(verts, w)
+    keys = m[w].astype(np.int64) * n**k + np.array(digits)[p] + w * n ** (k - 1 - p)
+    keys.sort()
+    return keys
+
+
+def _latest_facet(edge_rank: np.ndarray, cols: list, n: int) -> np.ndarray:
+    """For simplices given by their vertex columns, in any order, the
+    position in ``cols`` of the vertex whose removal leaves the latest facet.
+
+    That facet has the highest birth rank and, among those, comes last in
+    lexicographic order, which is the one without the smallest vertex."""
+    scores = []
+    for i, u in enumerate(cols):
+        rank = np.zeros(len(u), dtype=np.int64)
+        for a, b in itertools.combinations(cols[:i] + cols[i + 1 :], 2):
+            np.maximum(rank, edge_rank[a, b], out=rank)
+        scores.append(rank * n + (n - 1 - u))
+    return np.argmax(scores, axis=0)
 
 
 def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     """Reduce the degree-d coboundary block; returns (bars_d, killed_rows),
-    where bars_d leaves out zero-length bars and killed_rows marks the
-    (d+1)-simplices paired with a d-simplex.
+    where bars_d leaves out zero-length bars and killed_rows holds the keys
+    (see ``_keys``) of the (d+1)-simplices paired with a d-simplex.
 
     Serves every degree, dim 0 included.  Columns are the non-cleared
     d-simplices processed in reverse filtration order; rows are
-    (d+1)-simplices.  The pivot of a reduced column is the earliest cofacet,
-    pairing (d-simplex birth, (d+1)-simplex death) exactly as the
-    left-to-right boundary reduction does.
+    (d+1)-simplices, named by their keys and never stored: the cofacets of c
+    are c + w, born at the larger of c's birth rank and the edge ranks from
+    w to c's vertices, and ordered by (birth rank, w).  The pivot of a
+    reduced column is the earliest cofacet, pairing (d-simplex birth,
+    (d+1)-simplex death) exactly as the left-to-right boundary reduction
+    does.
     """
-    births_d, births_up = filt.births_by_dim[d], filt.births_by_dim[d + 1]
-    indptr, rows, latest = _cofacets(filt, d)
-    owner = np.full(len(births_up), -1, dtype=np.int32)
+    verts, births_d = filt.verts_by_dim[d], filt.births_by_dim[d]
+    n, values = filt.n_vertices, filt.edge_lengths
+    ranks = _birth_ranks(filt, d)
 
     # Apparent pairs (Bauer 2021): column c whose earliest cofacet t has c as
     # its latest facet.  No column reduced before c can hold t, so c pairs
     # with t unreduced, and c's own column is t's owner for the rest.
-    cols = np.flatnonzero((indptr[1:] > indptr[:-1]) & ~cleared)
-    first = rows[indptr[cols]]
-    apparent = latest[first] == cols
-    cols, first = cols[apparent], first[apparent]
-    owner[first] = cols
-    born, died = births_d[cols], births_up[first]
+    apparent = np.zeros(len(births_d), dtype=bool)
+    # (columns, birth ranks of their pivots, pivot keys) per block; the empty
+    # first entry gives concatenate an input when no column is open
+    pairs = [(ranks[:0], ranks[:0], np.zeros(0, dtype=np.int64))]
+    open_cols = np.flatnonzero(~cleared)
+    step = max(1, _BLOCK // n)
+    for start in range(0, len(open_cols), step):
+        cols = open_cols[start : start + step]
+        m = _cofacet_ranks(filt, verts[cols], ranks[cols])
+        w = np.argmin(m, axis=1)
+        first = m[np.arange(len(cols)), w]
+        keep = first < len(values)
+        cols, w, first = cols[keep], w[keep], first[keep]
+        hit = _latest_facet(filt.edge_rank, list(verts[cols].T) + [w], n) == d + 1
+        cols, w, first = cols[hit], w[hit], first[hit]
+        apparent[cols] = True
+        cofacet = np.sort(np.column_stack((verts[cols], w)), axis=1)
+        pairs.append((cols, first, _keys(first, list(cofacet.T), n)))
+    cols, first, keys = (np.concatenate(p) for p in zip(*pairs))
+    owner = dict(zip(keys.tolist(), cols.tolist()))
+    born, died = births_d[cols], values[first]
     lasting = born != died
     bars = [Interval(b, t) for b, t in zip(born[lasting].tolist(), died[lasting].tolist())]
 
-    pending = ~cleared
-    pending[cols] = False
+    base = n ** (d + 2)  # a row key's birth rank is key // base
     reduced: dict[int, np.ndarray] = {}
-    work = np.zeros(len(births_up), dtype=bool)
-    for c in np.flatnonzero(pending)[::-1].tolist():
-        col = rows[indptr[c] : indptr[c + 1]]
-        low = None
-        changed = False
-        if col.size:
-            work[col] = True
-            low, high = int(col[0]), int(col[-1])
-            while owner[low] >= 0:
-                changed = True
-                o = int(owner[low])
-                add = reduced.get(o)
-                if add is None:
-                    add = rows[indptr[o] : indptr[o + 1]]
-                # add's entries are >= low, so the new low lies after it
-                work[add] ^= True
-                high = max(high, int(add[-1]))
-                low += int(np.argmax(work[low : high + 1]))
-                if not work[low]:
-                    low = None
-                    break
+    for c in np.flatnonzero(~cleared & ~apparent)[::-1].tolist():
+        low = _reduce_column(filt, verts, ranks, c, owner, reduced)
         if low is None:
             bars.append(Interval(float(births_d[c]), None))
             continue
-        # an unchanged column is its cofacet list, which the lookup above reads
-        if changed:
-            reduced[c] = low + np.flatnonzero(work[low : high + 1])
-        work[low : high + 1] = False
         owner[low] = c
-        if births_d[c] != births_up[low]:
-            bars.append(Interval(float(births_d[c]), float(births_up[low])))
-    return bars, owner >= 0
+        if births_d[c] != values[low // base]:
+            bars.append(Interval(float(births_d[c]), float(values[low // base])))
+    return bars, np.fromiter(owner, dtype=np.int64, count=len(owner))
+
+
+def _reduce_column(filt, verts, ranks, c, owner, reduced):
+    """Add to column c the columns that own its pivot until none does;
+    returns the pivot (None for a zero column) and stores the reduced
+    column in ``reduced[c]``.
+
+    The working column is the sum of two sorted key arrays: ``small`` takes
+    each added column and is folded into ``big`` once it is an eighth of its
+    size, so an addition costs about the added column's length, not the
+    working column's.  Keys below the pivot are dropped, as every column
+    added has its first key at the pivot.
+    """
+    big, small = _cofacets(filt, verts[c], ranks[c]), _EMPTY
+    while True:
+        # keys both hold cancel; the pivot is the first key where they differ
+        m = min(len(big), len(small))
+        differ = big[:m] != small[:m]
+        j = int(differ.argmax()) if differ.any() else m
+        big, small = big[j:], small[j:]
+        heads = [a[0] for a in (big, small) if a.size]
+        if not heads:
+            return None
+        low = int(min(heads))
+        o = owner.get(low)
+        if o is None:
+            reduced[c] = _xor_sorted(big, small)
+            return low
+        add = reduced.get(o)
+        if add is None:  # an apparent column is its own reduced form
+            add = reduced[o] = _cofacets(filt, verts[o], ranks[o])
+        small = _xor_sorted(small, add) if small.size else add
+        if 8 * len(small) > len(big):
+            big, small = _xor_sorted(big, small), _EMPTY
+
+
+def _xor_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Symmetric difference of two sorted arrays of distinct keys, sorted; the
+    stable sort merges the two runs in linear time."""
+    s = np.concatenate((a, b))
+    s.sort(kind="stable")
+    single = np.concatenate(([True], s[1:] != s[:-1], [True]))
+    return s[single[1:] & single[:-1]]
+
+
+def _cleared(filt: Filtration, d: int, killed: np.ndarray) -> np.ndarray:
+    """Mask of the stored d-simplices whose keys are in ``killed``."""
+    keys = _keys(_birth_ranks(filt, d), list(filt.verts_by_dim[d].T), filt.n_vertices)
+    cleared = np.zeros(len(keys), dtype=bool)
+    cleared[np.searchsorted(keys, killed)] = True
+    return cleared
 
 
 def compute_persistence(filt: Filtration) -> Barcode:
@@ -543,14 +665,16 @@ def compute_persistence(filt: Filtration) -> Barcode:
     bars: dict[int, list[Interval]] = {}
     paired = essential = 0
     cleared = np.zeros(filt.n_vertices, dtype=bool)
-    for d in range(filt.top_dim):
-        bars[d], cleared = _coboundary_block(filt, d, cleared)
-        paired += int(np.count_nonzero(cleared))
+    for d in range(filt.max_dim + 1):
+        bars[d], killed = _coboundary_block(filt, d, cleared)
+        paired += len(killed)
         essential += sum(1 for iv in bars[d] if iv.is_infinite)
+        if d < filt.max_dim:
+            cleared = _cleared(filt, d + 1, killed)
 
     # top-dimensional simplices that were not killed are essential classes
     # in an unreported dimension; they still enter the simplex accounting
-    essential += int(len(filt.births_by_dim[filt.top_dim]) - np.sum(cleared))
+    essential += filt.top_count - len(killed)
     return _assemble_barcode(
         bars,
         n_simplices=filt.simplex_count,
@@ -621,11 +745,8 @@ def rips_persistence(dist, max_dim: int, max_radius: Optional[float] = None) -> 
     the cap, so the barcode stays valid at every radius and its
     ``max_radius`` is reported as infinity.
     """
-    arr = as_distance_matrix(dist)
     capped = max_radius is None
-    if capped:
-        max_radius = max(enclosing_radius(arr), np.finfo(float).tiny)
-    barcode = compute_persistence(build_rips(arr, max_dim, max_radius))
+    barcode = compute_persistence(build_rips(dist, max_dim, max_radius))
     if capped:
         barcode = Barcode(
             intervals=barcode.intervals,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .mlp import Network, forward
 
@@ -364,6 +363,10 @@ def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]
             f"system at layer {layer} is overdetermined ({rows} equations, {cols} unknowns)",
             layer=layer,
         )
+    # imported here: scipy.linalg costs about 0.3 s to load, and only this
+    # path needs it
+    import scipy.linalg
+
     _, _, perm = scipy.linalg.qr(mat, pivoting=True)
     pivots = np.sort(perm[:rows])
     block = mat[:, pivots]

@@ -303,13 +303,22 @@ def test_config_echo_contains_all_flags(idx_dir, tmp_path):
         assert key in echo
 
 
-def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # the distance routine loads scipy.spatial on its first call, so commands
-    # that compute no distances do not pay for it
+def test_cli_import_and_homology_load_no_scipy(tmp_path):
+    # numpy computes the distances and the persistence; scipy is loaded only
+    # by the commands that use it, on their first call
+    pts = tmp_path / "sq.csv"
+    pts.write_text("0,0\n1,0\n1,1\n0,1\n")
     src = str(Path(bettinet.__file__).resolve().parents[1])
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import bettinet.cli; "
-        "print('scipy.spatial' in sys.modules)"
-    )
+    argv = ["homology", "--points", str(pts), "--out", str(tmp_path / "h")]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        f"sys.path.insert(0, {src!r})",
+        "import bettinet.cli",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    code = bettinet.cli.main({argv!r})",
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines() == ["[]", "0 []"]
+    assert (tmp_path / "h" / "barcode.txt").read_text().startswith("0,0,1\n")

@@ -37,6 +37,31 @@ def test_pairwise_distances_matches_naive_loop():
     assert np.array_equal(d, d.T)
 
 
+def test_pairwise_distances_equal_scipy_bit_for_bit():
+    from scipy.spatial.distance import pdist, squareform
+
+    rng = np.random.default_rng(17)
+    clouds = [
+        rng.normal(size=(int(rng.integers(3, 40)), dim)) * scale
+        for dim in (1, 2, 3, 9, 17, 64, 784)
+        for scale in (1e-2, 1.0, 1e2)
+    ]
+    duplicates = rng.normal(size=(20, 5))
+    duplicates[10:] = duplicates[:10]
+    clouds += [
+        np.round(rng.normal(size=(30, 3)), 1),  # tied distances and duplicates
+        np.round(rng.uniform(-50, 50, size=(40, 17)), 2),
+        duplicates,
+        rng.normal(size=(1, 4)),
+        rng.normal(size=(2, 4)),
+    ]
+    for pts in clouds:
+        d = H.pairwise_distances(pts)
+        assert np.array_equal(d, squareform(pdist(pts)))
+        assert np.array_equal(d, d.T)
+        assert not d.diagonal().any()
+
+
 def test_point_cloud_validation_errors():
     with pytest.raises(H.GeometryError):
         H.as_point_cloud([[0, 1], [1, 2, 3]])
@@ -83,7 +108,9 @@ def test_rips_unit_square_census():
     edge_births = sorted(filt.births_by_dim[1])
     assert edge_births[:4] == pytest.approx([1.0] * 4)
     assert edge_births[4:] == pytest.approx([math.sqrt(2)] * 2)
-    assert sorted(filt.births_by_dim[2]) == pytest.approx([math.sqrt(2)] * 4)
+    # the top dimension is not stored; simplices() builds it
+    triangles = [s.birth for s in filt.simplices() if s.dim == 2]
+    assert sorted(triangles) == pytest.approx([math.sqrt(2)] * 4)
 
 
 def test_rips_faces_precede_cofaces_and_births_monotone():
@@ -192,18 +219,36 @@ def test_optimized_matches_reference_reduction():
         assert fast.essential_count == slow.essential_count
 
 
-def _cofacets_by_lookup(filt, d):
-    """Cofacet lists and latest facets of degree d through a dict of vertex
-    tuples."""
-    rank = {tuple(v): r for r, v in enumerate(filt.verts_by_dim[d].tolist())}
-    cofacets = [[] for _ in rank]
-    latest = []
-    for t, verts in enumerate(filt.verts_by_dim[d + 1].tolist()):
-        facets = [rank[tuple(verts[:j] + verts[j + 1 :])] for j in range(d + 2)]
+def _cofacets_by_lookup(dist, cliques, d):
+    """Cofacet lists of the d-simplices and latest facets of the
+    (d+1)-simplices, as vertex tuples, from clique lists sorted by
+    (birth, lex) in Python."""
+
+    def key(s):
+        return max((dist[u, v] for u, v in itertools.combinations(s, 2)), default=0.0), s
+
+    faces = sorted(cliques[d], key=key)
+    position = {s: i for i, s in enumerate(faces)}
+    cofacets = {s: [] for s in faces}
+    latest = {}
+    for t in sorted(cliques[d + 1], key=key):
+        facets = [t[:j] + t[j + 1 :] for j in range(d + 2)]
         for f in facets:
             cofacets[f].append(t)
-        latest.append(max(facets))
+        latest[t] = max(facets, key=position.get)
     return cofacets, latest
+
+
+def _decode_keys(filt, keys, k):
+    """(birth, vertices) of the k-vertex simplices with the given keys."""
+    n, out = filt.n_vertices, []
+    for key in keys.tolist():
+        verts = []
+        for _ in range(k):
+            key, v = divmod(key, n)
+            verts.append(v)
+        out.append((float(filt.edge_lengths[key]), tuple(verts[::-1])))
+    return out
 
 
 @pytest.mark.parametrize("kind", ["generic", "duplicates", "rounded"])
@@ -222,20 +267,50 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
         assert fast.paired_count == slow.paired_count
         assert fast.essential_count == slow.essential_count
 
-        for deg in range(filt.top_dim - 1, 0, -1):
-            indptr, rows, latest = H._cofacets(filt, deg)
-            cofacets, expected_latest = _cofacets_by_lookup(filt, deg)
-            assert [rows[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])] == cofacets
-            assert latest.tolist() == expected_latest
+        # the implicit cofacets of every degree, the top one included
+        cliques = H._clique_simplices((d <= radius) & ~np.eye(len(d), dtype=bool), max_dim + 1)
+        for deg in range(filt.top_dim):
+            cofacets, latest = _cofacets_by_lookup(d, cliques, deg)
+            ranks = H._birth_ranks(filt, deg)
+            for verts, rank in zip(filt.verts_by_dim[deg], ranks):
+                expected = [(max(d[u, v] for u, v in itertools.combinations(t, 2)), t)
+                            for t in cofacets[tuple(verts.tolist())]]
+                assert _decode_keys(filt, H._cofacets(filt, verts, rank), deg + 2) == expected
+            # the vertex columns in a shuffled order, as the routine takes any
+            tops = list(latest)
+            order = rng.permutation(deg + 2)
+            cols = [np.array([t[i] for t in tops]) for i in order]
+            drop = H._latest_facet(filt.edge_rank, cols, filt.n_vertices)
+            found = [tuple(v for v in t if v != t[order[j]]) for t, j in zip(tops, drop)]
+            assert found == [latest[t] for t in tops]
+            if deg == 1:
+                cofacets_1, latest_1 = cofacets, latest
         # the dim-1 block must reduce the columns that are neither cleared by
         # a dim-0 death nor apparent pairs
-        negative_edges = H._coboundary_block(filt, 0, np.zeros(len(d), dtype=bool))[1]
+        killed = H._coboundary_block(filt, 0, np.zeros(len(d), dtype=bool))[1]
+        negative_edges = H._cleared(filt, 1, killed)
         non_apparent += sum(
             1
-            for c, cof in enumerate(cofacets)
-            if cof and not negative_edges[c] and expected_latest[cof[0]] != c
+            for c, edge in enumerate(map(tuple, filt.verts_by_dim[1].tolist()))
+            if cofacets_1[edge]
+            and not negative_edges[c]
+            and latest_1[cofacets_1[edge][0]] != edge
         )
     assert non_apparent > 0
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
+def test_build_rips_counts_the_top_dimension_without_storing_it(max_dim):
+    rng = np.random.default_rng([16, max_dim])
+    for kind in ("generic", "duplicates", "rounded", "single"):
+        d = H.pairwise_distances(_random_cloud(kind, rng, sizes=(8, 21)))
+        radius = float(np.quantile(d, rng.uniform(0.2, 0.6))) or 1.0
+        filt = H.build_rips(d, max_dim, radius)
+        cliques = H._clique_simplices((d <= radius) & ~np.eye(len(d), dtype=bool), max_dim + 1)
+        assert filt.counts() == tuple(len(c) for c in cliques)
+        assert len(filt.verts_by_dim) == len(filt.births_by_dim) == max_dim + 1
+        built = [s.vertices for s in filt.simplices() if s.dim == max_dim + 1]
+        assert sorted(built) == cliques[max_dim + 1]
 
 
 def test_filtration_order_equals_lexsort_on_tied_input():
@@ -258,17 +333,31 @@ def test_size_guard_counts_before_building(monkeypatch, max_dim):
     rng = np.random.default_rng(14)
     d = H.pairwise_distances(rng.normal(size=(12, 3)))
     filt = H.build_rips(d, max_dim, 3.5)
-    monkeypatch.setattr(H, "FILTRATION_SIZE_GUARD", 0)
+    monkeypatch.setattr(H, "FILTRATION_SIZE_GUARD", filt.simplex_count - 1)
     with pytest.raises(H.FiltrationSizeError) as info:
         H.build_rips(d, max_dim, 3.5)
     assert isinstance(info.value, ValueError)
-    # exact up to triangles; tetrahedra are bounded from above
-    if max_dim < 2:
-        assert info.value.count == filt.simplex_count
-    else:
-        assert info.value.count >= filt.simplex_count
+    assert info.value.count == filt.simplex_count
     monkeypatch.setattr(H, "FILTRATION_SIZE_GUARD", info.value.count)
     assert H.build_rips(d, max_dim, 3.5).counts() == filt.counts()
+    # tetrahedra are not counted once the lower dimensions are over the limit
+    if max_dim == 2:
+        monkeypatch.setattr(H, "FILTRATION_SIZE_GUARD", sum(filt.counts()[:3]) - 1)
+        with pytest.raises(H.FiltrationSizeError, match="simplices up to triangles") as info:
+            H.build_rips(d, max_dim, 3.5)
+        assert info.value.count == sum(filt.counts()[:3])
+
+
+def test_key_range_guard(monkeypatch):
+    d = H.pairwise_distances(np.random.default_rng(19).normal(size=(10, 2)))
+    filt = H.build_rips(d, 1, 1.5)
+    key_range = len(filt.edge_lengths) * 10**3
+    monkeypatch.setattr(H, "_KEY_LIMIT", key_range - 1)
+    with pytest.raises(H.FiltrationSizeError, match="sort keys") as info:
+        H.build_rips(d, 1, 1.5)
+    assert info.value.count == key_range
+    monkeypatch.setattr(H, "_KEY_LIMIT", key_range)
+    assert H.build_rips(d, 1, 1.5).counts() == filt.counts()
 
 
 def test_oracle_equivalence_random_clouds():
@@ -371,6 +460,17 @@ def test_enclosing_radius_cap_is_exact():
     radii = np.linspace(0, d.max() * 1.2, 50)
     for dim in (0, 1):
         assert list(H.betti_curve(capped, dim, radii)) == list(H.betti_curve(full, dim, radii))
+
+
+def test_rips_persistence_validates_the_distances_once(monkeypatch):
+    calls = []
+    validate = H.as_distance_matrix
+    monkeypatch.setattr(H, "as_distance_matrix", lambda d: calls.append(1) or validate(d))
+    d = H.pairwise_distances(np.random.default_rng(18).normal(size=(9, 2)))
+    capped = H.rips_persistence(d, max_dim=1)
+    assert len(calls) == 1
+    assert H.rips_persistence(d, 1, H.enclosing_radius(d)).intervals == capped.intervals
+    assert math.isinf(capped.max_radius)
 
 
 def test_betti_at_warns_beyond_horizon():
