@@ -22,7 +22,8 @@ named by one int64 key (birth rank, then the vertices).  Apparent pairs come
 from one vectorized pass; only the other columns enumerate and reduce their
 cofacet lists.  ``build_rips`` counts simplices before allocating any and
 raises ``FiltrationSizeError`` above ``FILTRATION_SIZE_GUARD``.  One counter
-answers every Betti query.  Distances and persistence use numpy only.
+answers every Betti query, and ``b0_curve`` reads b0 from a minimum
+spanning tree found by Prim's algorithm.  Everything here uses numpy only.
 
 All containers here are immutable after construction and safe to share
 across threads; independent filtrations may be processed concurrently.
@@ -42,9 +43,7 @@ __all__ = [
     "FaceClosureError",
     "PointCountError",
     "FiltrationSizeError",
-    "Simplex",
     "Filtration",
-    "BoundaryMatrix",
     "Interval",
     "Barcode",
     "as_point_cloud",
@@ -52,9 +51,7 @@ __all__ = [
     "pairwise_distances",
     "enclosing_radius",
     "build_rips",
-    "boundary_matrix",
     "compute_persistence",
-    "reference_persistence",
     "rips_persistence",
     "betti_at",
     "betti_curve",
@@ -186,18 +183,6 @@ def _enclosing_radius(arr: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Simplex:
-    """A simplex with its filtration value (diameter)."""
-
-    vertices: tuple[int, ...]
-    birth: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
 class Filtration:
     """Rips filtration in columnar form.
 
@@ -232,22 +217,6 @@ class Filtration:
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.births_by_dim) + (self.top_count,)
-
-    def simplices(self) -> list[Simplex]:
-        """All simplices in global filtration order, the top dimension built
-        here (small inputs only)."""
-        verts, births = list(self.verts_by_dim), list(self.births_by_dim)
-        adj = self.edge_rank < len(self.edge_lengths)
-        cols = list(verts[-1].T)
-        cols, ranks = _extend_cliques(cols, _birth_ranks(self, self.max_dim), adj, self.edge_rank)
-        verts.append(np.column_stack(cols))
-        births.append(self.edge_lengths[ranks])
-        items: list[tuple[float, int, tuple[int, ...]]] = []
-        for d, (vs, bs) in enumerate(zip(verts, births)):
-            for row, birth in zip(vs, bs):
-                items.append((float(birth), d, tuple(int(v) for v in row)))
-        items.sort()
-        return [Simplex(vertices=v, birth=b) for b, _, v in items]
 
 
 def _check_filtration_size(adj: np.ndarray, max_dim: int) -> list[int]:
@@ -372,54 +341,6 @@ def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtra
         edge_rank=edge_rank,
         edge_lengths=values,
         top_count=counts[-1],
-    )
-
-
-# ---------------------------------------------------------------------------
-# boundary matrix (explicit, for validation and small inputs)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Z/2 boundary matrix in global filtration order.
-
-    ``columns[j]`` holds the row indices of the codimension-1 faces of
-    simplex j; a k-simplex column has exactly k+1 entries.
-    """
-
-    columns: tuple[tuple[int, ...], ...]
-    dims: tuple[int, ...]
-    births: tuple[float, ...]
-
-    def d_squared_is_zero(self) -> bool:
-        """Check that applying the boundary twice annihilates every column."""
-        for faces in self.columns:
-            acc: set[int] = set()
-            for f in faces:
-                acc ^= set(self.columns[f])
-            if acc:
-                return False
-        return True
-
-
-def boundary_matrix(filt: Filtration) -> BoundaryMatrix:
-    simplices = filt.simplices()
-    index = {s.vertices: j for j, s in enumerate(simplices)}
-    columns = []
-    for s in simplices:
-        if s.dim == 0:
-            columns.append(())
-            continue
-        faces = []
-        for drop in range(len(s.vertices)):
-            face = s.vertices[:drop] + s.vertices[drop + 1 :]
-            faces.append(index[face])
-        columns.append(tuple(sorted(faces)))
-    return BoundaryMatrix(
-        columns=tuple(columns),
-        dims=tuple(s.dim for s in simplices),
-        births=tuple(s.birth for s in simplices),
     )
 
 
@@ -660,7 +581,8 @@ def compute_persistence(filt: Filtration) -> Barcode:
     Cohomology gives the same pairs as homology (de Silva, Morozov and
     Vejdemo-Johansson 2011), and clearing and apparent pairs are pure
     speedups, so the output is identical to the plain left-to-right column
-    reduction (see ``reference_persistence``).
+    reduction over the full boundary matrix, which the tests compare it
+    against on small inputs.
     """
     bars: dict[int, list[Interval]] = {}
     paired = essential = 0
@@ -678,58 +600,6 @@ def compute_persistence(filt: Filtration) -> Barcode:
     return _assemble_barcode(
         bars,
         n_simplices=filt.simplex_count,
-        paired=paired,
-        essential=essential,
-        max_radius=filt.max_radius,
-        report_dims=range(filt.max_dim + 1),
-    )
-
-
-def reference_persistence(filt: Filtration) -> Barcode:
-    """Plain left-to-right column reduction over the full boundary matrix.
-
-    Quadratic and allocation-heavy; exists as the validation reference for
-    ``compute_persistence`` on small inputs.
-    """
-    matrix = boundary_matrix(filt)
-    m = len(matrix.columns)
-    cols = [0] * m
-    for j, faces in enumerate(matrix.columns):
-        c = 0
-        for f in faces:
-            c |= 1 << f
-        cols[j] = c
-    pivot_of: dict[int, int] = {}
-    pair_of_row: dict[int, int] = {}
-    for j in range(m):
-        col = cols[j]
-        while col:
-            low = col.bit_length() - 1
-            if low in pivot_of:
-                col ^= cols[pivot_of[low]]
-            else:
-                pivot_of[low] = j
-                pair_of_row[low] = j
-                break
-        cols[j] = col
-
-    bars: dict[int, list[Interval]] = {}
-    paired = 0
-    essential = 0
-    paired_cols = set(pair_of_row.values())
-    for i in range(m):
-        if i in pair_of_row:
-            paired += 1
-            d = matrix.dims[i]
-            bars.setdefault(d, []).append(
-                Interval(matrix.births[i], matrix.births[pair_of_row[i]])
-            )
-        elif i not in paired_cols:
-            essential += 1
-            bars.setdefault(matrix.dims[i], []).append(Interval(matrix.births[i], None))
-    return _assemble_barcode(
-        bars,
-        n_simplices=m,
         paired=paired,
         essential=essential,
         max_radius=filt.max_radius,
@@ -806,21 +676,27 @@ def b0_curve(dist, radii: Sequence[float]) -> np.ndarray:
     born at 0 that die at the tree's edge weights, the last one never:
     b0(r) = 1 + #{tree edges with weight > r} for r >= 0, and 0 for r < 0.
     """
-    # imported here: only this path needs csgraph, and it adds ~30 ms to
-    # every process that imports the package
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
     arr = as_distance_matrix(dist)
+    return _alive(np.zeros(arr.shape[0]), _spanning_tree_weights(arr), radii)
+
+
+def _spanning_tree_weights(arr: np.ndarray) -> np.ndarray:
+    """Edge weights of a minimum spanning tree of the complete graph whose
+    edge weights are the distances, by Prim's algorithm: n - 1 steps of
+    O(n) vectorized work.  Every minimum spanning tree has the same weights,
+    and a zero distance is an edge like any other."""
     n = arr.shape[0]
-    upper = np.triu_indices(n, k=1)
-    # csgraph reads a zero entry as "no edge", so an edge between coincident
-    # points would be missing from the tree.  Dense ranks 1, 2, ... order the
-    # edges as the distances do and are never zero.
-    values, ranks = np.unique(arr[upper], return_inverse=True)
-    graph = np.zeros((n, n))
-    graph[upper] = ranks + 1
-    tree_ranks = minimum_spanning_tree(graph).data.astype(np.int64)
-    return _alive(np.zeros(n), values[tree_ranks - 1], radii)
+    reach = arr[0].copy()  # distance from the tree to each vertex
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    weights = np.empty(n - 1)
+    for i in range(n - 1):
+        reach[in_tree] = np.inf
+        v = int(np.argmin(reach))
+        weights[i] = reach[v]
+        in_tree[v] = True
+        np.minimum(reach, arr[v], out=reach)
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -377,8 +377,9 @@ def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]
             f"(smallest singular value {smallest_sv:.3e} < {RANK_TOLERANCE})",
             layer=layer,
         )
-    free = np.array([c for c in range(cols) if c not in set(pivots)], dtype=int)
-    return pivots, free
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    return pivots, np.flatnonzero(free)
 
 
 def _solve_affine_onto(
@@ -511,6 +512,54 @@ def solve_relu_boundary(
     )
 
 
+# Attempts are counted in batches of this many draws.
+_BATCH = 256
+# Most draws held at once after the first batch, a multiple of _BATCH: large
+# budgets are drawn in blocks of this size.
+_MAX_DRAW = 1 << 16
+
+
+def _constraint_rows(sol: AffineSolution):
+    """The (matrix, offset) pairs a sampled point must keep nonnegative."""
+    return (
+        (sol.positivity_matrix, sol.positivity_offset),
+        (sol.residual_matrix, sol.residual_offset),
+    )
+
+
+def _accepted(sol: AffineSolution, u: np.ndarray) -> np.ndarray:
+    """Which rows of u satisfy every constraint row within the tolerance."""
+    ok = np.ones(len(u), dtype=bool)
+    for mat, off in _constraint_rows(sol):
+        if mat.shape[0]:
+            ok &= np.all(u @ mat.T + off >= -POSITIVITY_TOLERANCE, axis=1)
+    return ok
+
+
+def _box_infeasible(sol: AffineSolution, box: float) -> bool:
+    """True when some constraint row is below -POSITIVITY_TOLERANCE at every
+    point of [0, box]^n_free, so that every draw fails it.
+
+    The largest value of row (m, o) on the box is o + box * sum(max(m, 0)).
+    A draw's computed value u @ m + o differs from the exact one by at most
+    gamma_(n_free + 1) * (box * sum|m| + |o|), with gamma_k about k * eps / 2,
+    whatever order the product sums in (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, section 3.1), and the bound computed here by as
+    much again.  The margin, (n_free + 2) * 4 * eps * (box * sum|m| + |o|),
+    is over four times their sum.  Draws are never above box, which must be
+    positive and finite; any other box proves nothing.
+    """
+    if not 0.0 < box < np.inf:
+        return False
+    eps = np.finfo(np.float64).eps
+    for mat, off in _constraint_rows(sol):
+        top = off + box * np.maximum(mat, 0.0).sum(axis=1)
+        margin = (sol.n_free + 2) * 4 * eps * (box * np.abs(mat).sum(axis=1) + np.abs(off))
+        if np.any(top + margin < -POSITIVITY_TOLERANCE):
+            return True
+    return False
+
+
 def sample_boundary(
     sol: AffineSolution,
     count: int,
@@ -520,37 +569,52 @@ def sample_boundary(
 ) -> SamplingResult:
     """Rejection-sample boundary points: free variables uniform in
     [0, box], kept when every positivity row and residual inequality is
-    satisfied (tolerance 1e-9).
+    satisfied (tolerance 1e-9).  The first ``count`` rows that pass, in
+    draw order, become points; ``attempts`` counts the draws in whole
+    batches of 256, up to the one holding the last point kept, or the
+    whole budget when fewer than ``count`` pass.
 
     Finding nothing within the attempt budget is an infeasibility report,
-    not an error; the region may genuinely be empty.
+    not an error; the region may genuinely be empty.  Before drawing, an
+    interval bound checks each row's largest value over the box: when one
+    row stays below the tolerance on the whole box (rounding included, see
+    ``_box_infeasible``), every draw would fail it, so the region is
+    reported empty after the whole budget without drawing.
+
+    Otherwise one batch of 256 rows is drawn, and only when fewer than
+    ``count`` of them pass is the rest of the budget drawn, in one more
+    block (blocks of 65 536 rows past that).  This gives the same points
+    and ``attempts`` as drawing and testing batch by batch: the generator
+    yields the same stream however the draw is split, each row passes or
+    fails on its own, and each point is computed from its own row.
     """
     if max_attempts is None:
         max_attempts = max(400 * count, 4000)
     rng = np.random.default_rng(seed)
-    base = sol.layers[-1]
-    points: list[BoundaryPoint] = []
+    if count > 0 and max_attempts > 0 and _box_infeasible(sol, box):
+        return SamplingResult(points=(), attempts=max_attempts, requested=count)
+    rows = np.zeros((0, sol.n_free))
     attempts = 0
-    batch = 256
-    while attempts < max_attempts and len(points) < count:
-        m = min(batch, max_attempts - attempts)
-        attempts += m
+    while attempts < max_attempts and len(rows) < count:
+        m = min(_MAX_DRAW if attempts else _BATCH, max_attempts - attempts)
         u = rng.uniform(0.0, box, size=(m, sol.n_free))
-        ok = np.ones(m, dtype=bool)
-        if sol.positivity_matrix.shape[0]:
-            vals = u @ sol.positivity_matrix.T + sol.positivity_offset
-            ok &= np.all(vals >= -POSITIVITY_TOLERANCE, axis=1)
-        if sol.residual_matrix.shape[0]:
-            vals = u @ sol.residual_matrix.T + sol.residual_offset
-            ok &= np.all(vals >= -POSITIVITY_TOLERANCE, axis=1)
-        for row in u[ok]:
-            coords = base.particular + base.basis @ row
-            points.append(
-                BoundaryPoint(layer=sol.layer, coords=coords, class_j=sol.class_j, alphas=sol.alphas)
-            )
-            if len(points) == count:
-                break
-    return SamplingResult(points=tuple(points), attempts=attempts, requested=count)
+        hits = np.flatnonzero(_accepted(sol, u))[: count - len(rows)]
+        if len(rows) + len(hits) == count:
+            # stop at the end of the batch that holds the last point kept
+            m = min(m, (int(hits[-1]) // _BATCH + 1) * _BATCH)
+        attempts += m
+        rows = np.concatenate([rows, u[hits]])
+    base = sol.layers[-1]
+    points = tuple(
+        BoundaryPoint(
+            layer=sol.layer,
+            coords=base.particular + base.basis @ row,
+            class_j=sol.class_j,
+            alphas=sol.alphas,
+        )
+        for row in rows
+    )
+    return SamplingResult(points=points, attempts=attempts, requested=count)
 
 
 def verify_ambiguity(net: Network, point: BoundaryPoint, tol: float = 1e-6) -> tuple[bool, float]:

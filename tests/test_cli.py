@@ -304,21 +304,30 @@ def test_config_echo_contains_all_flags(idx_dir, tmp_path):
 
 
 def test_cli_import_and_homology_load_no_scipy(tmp_path):
-    # numpy computes the distances and the persistence; scipy is loaded only
-    # by the commands that use it, on their first call
+    # numpy computes the distances, the persistence and the spanning tree;
+    # scipy is loaded only by the commands that use it, on their first call
     pts = tmp_path / "sq.csv"
     pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+    train, _ = data.make_image_dataset(40, 10, seed=3, side=4, classes=2)
+    labeled = tmp_path / "train.csv"
+    np.savetxt(labeled, np.column_stack([train.features, train.labels]), delimiter=",", fmt="%.17g")
     src = str(Path(bettinet.__file__).resolve().parents[1])
-    argv = ["homology", "--points", str(pts), "--out", str(tmp_path / "h")]
+    runs = [
+        ["homology", "--points", str(pts), "--out", str(tmp_path / "h")],
+        ["sweep", "--data", str(labeled), "--widths", "2", "--seeds", "1", "--epochs", "1",
+         "--cap", "8", "--out", str(tmp_path / "s")],
+    ]
     code = "\n".join([
         "import contextlib, io, sys",
         f"sys.path.insert(0, {src!r})",
         "import bettinet.cli",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    code = bettinet.cli.main({argv!r})",
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        f"for argv in {runs!r}:",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        code = bettinet.cli.main(argv)",
+        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == ["[]", "0 []"]
+    assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
     assert (tmp_path / "h" / "barcode.txt").read_text().startswith("0,0,1\n")
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1

@@ -6,6 +6,7 @@ import pytest
 
 from bettinet import homology as H
 from conftest import betti_padded, random_complex, random_cover
+import persistence_oracle as oracle
 
 
 def square_points():
@@ -86,7 +87,7 @@ def test_distance_matrix_validation():
 def test_rips_two_points():
     d = H.pairwise_distances([[0.0], [1.0]])
     filt = H.build_rips(d, max_dim=1, max_radius=2.0)
-    simplices = filt.simplices()
+    simplices = oracle.simplices(filt)
     assert [s.vertices for s in simplices] == [(0,), (1,), (0, 1)]
     assert [s.birth for s in simplices] == [0.0, 0.0, 1.0]
 
@@ -94,7 +95,7 @@ def test_rips_two_points():
 def test_rips_coincident_points_tie_break():
     d = np.zeros((3, 3))
     filt = H.build_rips(d, max_dim=1, max_radius=1.0)
-    simplices = filt.simplices()
+    simplices = oracle.simplices(filt)
     # vertices first, then edges, then the triangle, all at birth 0
     assert [s.dim for s in simplices] == [0, 0, 0, 1, 1, 1, 2]
     assert all(s.birth == 0.0 for s in simplices)
@@ -108,8 +109,8 @@ def test_rips_unit_square_census():
     edge_births = sorted(filt.births_by_dim[1])
     assert edge_births[:4] == pytest.approx([1.0] * 4)
     assert edge_births[4:] == pytest.approx([math.sqrt(2)] * 2)
-    # the top dimension is not stored; simplices() builds it
-    triangles = [s.birth for s in filt.simplices() if s.dim == 2]
+    # the top dimension is not stored; oracle.simplices builds it
+    triangles = [s.birth for s in oracle.simplices(filt) if s.dim == 2]
     assert sorted(triangles) == pytest.approx([math.sqrt(2)] * 4)
 
 
@@ -117,7 +118,7 @@ def test_rips_faces_precede_cofaces_and_births_monotone():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
     filt = H.build_rips(H.pairwise_distances(pts), max_dim=2, max_radius=3.0)
-    simplices = filt.simplices()
+    simplices = oracle.simplices(filt)
     seen = set()
     last_key = None
     for s in simplices:
@@ -148,7 +149,7 @@ def test_boundary_matrix_shape_and_d_squared():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(7, 3))
     filt = H.build_rips(H.pairwise_distances(pts), max_dim=2, max_radius=2.5)
-    matrix = H.boundary_matrix(filt)
+    matrix = oracle.boundary_matrix(filt)
     for faces, dim in zip(matrix.columns, matrix.dims):
         assert len(faces) == (dim + 1 if dim > 0 else 0)
     assert matrix.d_squared_is_zero()
@@ -213,7 +214,7 @@ def test_optimized_matches_reference_reduction():
         max_dim = int(rng.choice([0, 1, 2]))
         filt = H.build_rips(d, max_dim, float(rng.uniform(0.3, 3.0)))
         fast = H.compute_persistence(filt)
-        slow = H.reference_persistence(filt)
+        slow = oracle.reference_persistence(filt)
         assert fast.intervals == slow.intervals
         assert fast.paired_count == slow.paired_count
         assert fast.essential_count == slow.essential_count
@@ -262,7 +263,7 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
         radius = float(np.quantile(d[np.triu_indices(len(d), 1)], rng.uniform(0.15, 0.3)))
         filt = H.build_rips(d, max_dim, radius)
         fast = H.compute_persistence(filt)
-        slow = H.reference_persistence(filt)
+        slow = oracle.reference_persistence(filt)
         assert fast.intervals == slow.intervals
         assert fast.paired_count == slow.paired_count
         assert fast.essential_count == slow.essential_count
@@ -309,7 +310,7 @@ def test_build_rips_counts_the_top_dimension_without_storing_it(max_dim):
         cliques = H._clique_simplices((d <= radius) & ~np.eye(len(d), dtype=bool), max_dim + 1)
         assert filt.counts() == tuple(len(c) for c in cliques)
         assert len(filt.verts_by_dim) == len(filt.births_by_dim) == max_dim + 1
-        built = [s.vertices for s in filt.simplices() if s.dim == max_dim + 1]
+        built = [s.vertices for s in oracle.simplices(filt) if s.dim == max_dim + 1]
         assert sorted(built) == cliques[max_dim + 1]
 
 

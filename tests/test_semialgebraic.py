@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,191 @@ def test_cover_report_lists_feasibility():
     text = sa.cover_report(net, layer=1, class_j=0, alpha_sets=[(1,)], count=5, seed=1)
     assert "equations=1" in text
     assert "pass=5/5" in text
+
+
+# ---------------------------------------------------------------------------
+# sampler equivalence
+# ---------------------------------------------------------------------------
+
+
+def batch_loop_sample(sol, count, box=1.0, seed=0, max_attempts=None):
+    """Reference sampler: draw and test batches of 256 rows, one at a time,
+    until ``count`` points are kept or the budget is spent.  Returns the
+    point coordinates and the attempts."""
+    if max_attempts is None:
+        max_attempts = max(400 * count, 4000)
+    rng = np.random.default_rng(seed)
+    base = sol.layers[-1]
+    coords = []
+    attempts = 0
+    while attempts < max_attempts and len(coords) < count:
+        m = min(256, max_attempts - attempts)
+        attempts += m
+        u = rng.uniform(0.0, box, size=(m, sol.n_free))
+        ok = np.ones(m, dtype=bool)
+        if sol.positivity_matrix.shape[0]:
+            vals = u @ sol.positivity_matrix.T + sol.positivity_offset
+            ok &= np.all(vals >= -sa.POSITIVITY_TOLERANCE, axis=1)
+        if sol.residual_matrix.shape[0]:
+            vals = u @ sol.residual_matrix.T + sol.residual_offset
+            ok &= np.all(vals >= -sa.POSITIVITY_TOLERANCE, axis=1)
+        for row in u[ok]:
+            coords.append(base.particular + base.basis @ row)
+            if len(coords) == count:
+                break
+    return coords, attempts
+
+
+def assert_sampler_matches_loop(sol, count, box, seed, max_attempts):
+    res = sa.sample_boundary(sol, count, box=box, seed=seed, max_attempts=max_attempts)
+    coords, attempts = batch_loop_sample(sol, count, box=box, seed=seed, max_attempts=max_attempts)
+    assert res.attempts == attempts and type(res.attempts) is int
+    assert len(res.points) == len(coords)
+    for point, expected in zip(res.points, coords):
+        assert np.array_equal(point.coords, expected)
+        assert (point.layer, point.class_j, point.alphas) == (sol.layer, sol.class_j, sol.alphas)
+    return res
+
+
+def benchmark_shaped_relu_net(rng, batch_norm):
+    """A [6, n1, n2, 4] ReLU net with 3 <= n2 <= n1 <= 6, random biases and
+    batch-norm statistics."""
+    n1 = int(rng.integers(3, 7))
+    n2 = int(rng.integers(3, n1 + 1))
+    net = mlp.build_network([6, n1, n2, 4], mlp.relu_activation(),
+                            seed=int(rng.integers(2**31)), batch_norm=batch_norm)
+    for block in net.hidden:
+        block.dense.bias[:] = rng.normal(scale=0.5, size=block.dense.bias.shape)
+        if block.norm is not None:
+            n = block.norm.gamma.shape
+            block.norm.gamma[:] = rng.uniform(0.5, 1.5, n)
+            block.norm.beta[:] = rng.normal(scale=0.3, size=n)
+            block.norm.running_mean[:] = rng.normal(scale=0.3, size=n)
+            block.norm.running_var[:] = rng.uniform(0.5, 1.5, n)
+    net.output.bias[:] = rng.normal(scale=0.5, size=net.output.bias.shape)
+    return net
+
+
+def test_sample_boundary_equals_the_batch_loop_on_random_nets():
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for trial in range(8):
+        net = benchmark_shaped_relu_net(rng, batch_norm=bool(trial % 2))
+        j = int(rng.integers(4))
+        others = [q for q in range(4) if q != j]
+        for alphas in ([others[0]], others[1:]):
+            for layer in (1, 2):
+                sol = sa.solve_relu_boundary(net, j, alphas, layer)
+                for count in (1, 5, 20):
+                    for max_attempts in (257, 500, 4000, 8000, 8001):
+                        for box in (0.5, 1.0, 1.5):
+                            seed = int(rng.integers(2**31))
+                            res = assert_sampler_matches_loop(sol, count, box, seed, max_attempts)
+                            n = len(res.points)
+                            outcomes.add(
+                                "proven empty" if sa._box_infeasible(sol, box)
+                                else "empty" if n == 0
+                                else "short" if n < count
+                                else "first batch" if res.attempts == 256
+                                else "later batch"
+                            )
+    # every branch of the sampler was taken
+    assert outcomes == {"proven empty", "empty", "short", "first batch", "later batch"}
+
+
+def constraint_solution(n_free, matrix, offset):
+    """A boundary piece whose free variables are the coordinates, with the
+    given positivity rows and no residual rows."""
+    return sa.AffineSolution(
+        class_j=0,
+        alphas=(1,),
+        layer=1,
+        layers=(
+            sa.LayerSolve(layer=1, pivot_cols=(), particular=np.zeros(max(n_free, 1)),
+                          basis=np.eye(max(n_free, 1), n_free)),
+        ),
+        positivity_matrix=np.asarray(matrix, dtype=float).reshape(len(offset), n_free),
+        positivity_offset=np.asarray(offset, dtype=float),
+        residual_matrix=np.zeros((0, n_free)),
+        residual_offset=np.zeros(0),
+    )
+
+
+@pytest.mark.parametrize("n_free", [0, 1, 3])
+def test_interval_proof_agrees_with_the_loop_at_the_tolerance(n_free):
+    # zero columns make every sampled value exactly the offset, a few ulps
+    # on either side of -POSITIVITY_TOLERANCE
+    edge = -sa.POSITIVITY_TOLERANCE
+    for ulps in (-60, -40, -3, -2, -1, 0, 1, 2, 3):
+        offset = edge
+        for _ in range(abs(ulps)):
+            offset = np.nextafter(offset, np.sign(ulps) * np.inf)
+        sol = constraint_solution(n_free, np.zeros(n_free), [offset])
+        res = assert_sampler_matches_loop(sol, 5, 1.0, ulps + 100, 1000)
+        assert res.feasible == (offset >= edge)
+        # the rounding margin is 9 to 21 ulps of the tolerance here: the
+        # proof decides the offsets well below it and leaves the rest to
+        # the draws
+        assert sa._box_infeasible(sol, 1.0) == (ulps <= -40)
+
+
+def test_interval_proof_bounds_each_row_over_the_box():
+    # u0 + u1 - 2.5 stays at or below -0.5 on [0, 1]^2, and reaches 0.1 on
+    # [0, 1.3]^2; the second row is nonnegative on part of either box
+    sol = constraint_solution(2, [[1.0, 1.0], [0.5, -3.0]], [-2.5, 0.1])
+    assert sa._box_infeasible(sol, 1.0)
+    assert not sa._box_infeasible(sol, 1.3)
+    for box in (1.0, 1.3):
+        assert_sampler_matches_loop(sol, 5, box, 3, 4000)
+
+
+def test_zero_box_falls_through_to_drawing():
+    # every draw is 0, where the row reads its offset
+    for offset in (-0.5, 0.0):
+        sol = constraint_solution(1, [[-1.0]], [offset])
+        assert not sa._box_infeasible(sol, 0.0)
+        res = assert_sampler_matches_loop(sol, 5, 0.0, 4, 1000)
+        assert res.feasible == (offset == 0.0)
+
+
+@pytest.mark.parametrize("box, error", [(-1.0, ValueError), (np.inf, OverflowError),
+                                        (np.nan, OverflowError)])
+def test_invalid_box_raises_as_the_loop_does(box, error):
+    # on [box, 0] the row -u - 0.5 reaches 0.5, although o + box * 0 reads
+    # -0.5: the proof must not answer for a negative box
+    sol = constraint_solution(1, [[-1.0]], [-0.5])
+    assert not sa._box_infeasible(sol, box)
+    with pytest.raises(error):
+        batch_loop_sample(sol, 5, box=box, max_attempts=1000)
+    with pytest.raises(error):
+        sa.sample_boundary(sol, 5, box=box, max_attempts=1000)
+
+
+def test_proven_empty_region_returns_without_drawing(monkeypatch):
+    sol = constraint_solution(2, [[1.0, -1.0], [-1.0, -1.0]], [0.0, -2.5])
+    # the same rows as residual inequalities
+    residual = dataclasses.replace(
+        sol,
+        positivity_matrix=sol.residual_matrix,
+        positivity_offset=sol.residual_offset,
+        residual_matrix=sol.positivity_matrix,
+        residual_offset=sol.positivity_offset,
+    )
+    for region in (sol, residual):
+        expected = batch_loop_sample(region, 5, box=1.0, seed=7, max_attempts=8001)
+        assert expected == ([], 8001)
+
+    class NoDraws:
+        def __init__(self, seed):
+            pass
+
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("a proven-empty region was sampled")
+
+    monkeypatch.setattr(np.random, "default_rng", NoDraws)
+    for region in (sol, residual):
+        res = sa.sample_boundary(region, 5, box=1.0, seed=7, max_attempts=8001)
+        assert (res.points, res.attempts, res.requested) == ((), 8001, 5)
+    # nothing is drawn when nothing is asked for either
+    assert sa.sample_boundary(sol, 0, box=1.0, seed=7).attempts == 0
+    assert sa.sample_boundary(sol, 5, box=1.0, seed=7, max_attempts=0).attempts == 0
