@@ -435,6 +435,24 @@ def constraint_solution(n_free, matrix, offset):
     )
 
 
+def test_sample_boundary_equals_the_batch_loop_on_a_wide_block():
+    # 48 rows over 8 free variables: one product over the rest of an
+    # 8000-draw budget is large enough for BLAS to split across threads
+    rng = np.random.default_rng(8)
+    matrix = rng.normal(size=(48, 8))
+    outcomes = set()
+    for shift in (1.5, 0.9, 0.6, 0.3):
+        sol = constraint_solution(8, matrix, shift - 0.5 * matrix.sum(axis=1))
+        for count in (1, 5, 20):
+            for max_attempts in (4000, 8000, 8001):
+                res = assert_sampler_matches_loop(sol, count, 1.0, count + max_attempts,
+                                                  max_attempts)
+                n = len(res.points)
+                outcomes.add("empty" if n == 0 else "short" if n < count
+                             else "first batch" if res.attempts == 256 else "later batch")
+    assert outcomes == {"empty", "short", "first batch", "later batch"}
+
+
 @pytest.mark.parametrize("n_free", [0, 1, 3])
 def test_interval_proof_agrees_with_the_loop_at_the_tolerance(n_free):
     # zero columns make every sampled value exactly the offset, a few ulps
