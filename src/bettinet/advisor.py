@@ -15,7 +15,10 @@ costs milliseconds (about 2 ms at 100 points), less than starting a worker.
 At 1 (the default, and all ``input_profile`` computes) each class gets its
 dim-1 Rips barcode and b0/b1 curves; these computations are independent
 and may run in parallel (``jobs``); results do not depend on the level of
-parallelism.
+parallelism.  The pool pays only once classes are large: on 2 cores, with
+10 classes of 784-D images and a 16-wide layer, ``analyze --jobs 2`` was
+slower than ``--jobs 1`` at 200 points per class (2.7 s against 2.3 s)
+and faster from 300 (4.5 s against 5.1 s; 12.5 s against 13.7 s at 500).
 """
 
 from __future__ import annotations
@@ -307,6 +310,8 @@ def width_sweep(
     """
     if not widths:
         raise ValueError("need at least one width")
+    if not seeds:
+        raise ValueError("need at least one seed")
     if layer is None:
         layer = hidden_layers
     rows = []

@@ -16,6 +16,7 @@ runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,22 @@ def _parse_int_list(text: str) -> list[int]:
         return [int(p) for p in text.split(",") if p != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type that converts the text and requires ``ok`` of the
+    value, so a bad value is a usage error (exit code 2)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _write_config_echo(out_dir: Path, command: str, args: argparse.Namespace):
@@ -304,10 +321,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-j", type=int, required=True)
     p.add_argument("--alphas", type=_parse_int_list, required=True)
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--box", type=float, default=1.0)
+    p.add_argument("--count", type=_checked(int, lambda c: c >= 1, "an integer >= 1"), default=20)
+    p.add_argument(
+        "--box",
+        type=_checked(float, lambda b: 0 < b < math.inf, "a finite number > 0"),
+        default=1.0,
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument(
+        "--tol",
+        type=_checked(float, lambda t: 0 <= t < math.inf, "a finite number >= 0"),
+        default=1e-6,
+    )
     p.add_argument("--out", default="cover_out")
     p.set_defaults(func=cmd_cover)
 

@@ -13,17 +13,18 @@ Conventions (they matter for interpreting radius axes):
   guarantees faces precede cofaces deterministically.
 * Infinite deaths are represented by ``None``, never by a float.
 
-Persistence follows Ripser (Bauer, J. Appl. Comput. Topol. 2021): every
-degree, dim 0 included, is one coboundary reduction with clearing; there is
-no union-find.  Cofacets are implicit, as in Ripser: those of a simplex c
-are c plus one vertex w, born at the largest of c's birth and the edges
-from w to c, so the top dimension is counted but never stored, and a row is
-named by one int64 key (birth rank, then the vertices).  Apparent pairs come
-from one vectorized pass; only the other columns enumerate and reduce their
-cofacet lists.  ``build_rips`` counts simplices before allocating any and
-raises ``FiltrationSizeError`` above ``FILTRATION_SIZE_GUARD``.  One counter
-answers every Betti query, and ``b0_curve`` reads b0 from a minimum
-spanning tree found by Prim's algorithm.  Everything here uses numpy only.
+Persistence follows Ripser (Bauer, J. Appl. Comput. Topol. 2021).  Dim 0
+is a minimum spanning tree, found by the same Prim routine that gives
+``b0_curve`` its tree; every higher degree is one coboundary reduction with
+clearing, and there is no union-find.  Cofacets are implicit, as in Ripser:
+those of a simplex c are c plus one vertex w, born at the largest of c's
+birth and the edges from w to c, so the top dimension is counted but never
+stored, and a row is named by one int64 key (birth rank, then the
+vertices).  Apparent pairs come from one vectorized pass; only the other
+columns enumerate and reduce their cofacet lists.  ``build_rips`` counts
+simplices before allocating any and raises ``FiltrationSizeError`` above
+``FILTRATION_SIZE_GUARD``.  One counter answers every Betti query.
+Everything here uses numpy only.
 
 All containers here are immutable after construction and safe to share
 across threads; independent filtrations may be processed concurrently.
@@ -33,7 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -275,7 +277,8 @@ def _keys(ranks: np.ndarray, cols: list, n: int) -> np.ndarray:
     build_rips checks that they fit in int64."""
     key = ranks.astype(np.int64)
     for c in cols:
-        key = key * n + c
+        key *= n
+        key += c
     return key
 
 
@@ -469,8 +472,8 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     where bars_d leaves out zero-length bars and killed_rows holds the keys
     (see ``_keys``) of the (d+1)-simplices paired with a d-simplex.
 
-    Serves every degree, dim 0 included.  Columns are the non-cleared
-    d-simplices processed in reverse filtration order; rows are
+    Serves degrees d >= 1 (dim 0 is ``_dim0_block``).  Columns are the
+    non-cleared d-simplices processed in reverse filtration order; rows are
     (d+1)-simplices, named by their keys and never stored: the cofacets of c
     are c + w, born at the larger of c's birth rank and the edge ranks from
     w to c's vertices, and ordered by (birth rank, w).  The pivot of a
@@ -565,6 +568,26 @@ def _xor_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s[single[1:] & single[:-1]]
 
 
+def _dim0_block(filt: Filtration):
+    """The dim-0 pairs as (bars_0, killed_rows), like ``_coboundary_block``.
+
+    Under their keys (see ``_keys``), distinct and in filtration order, the
+    vertex pairs have one minimum spanning tree, and its weights name its
+    edges.  Its filtration edges are the ones Kruskal's algorithm takes in
+    that order: those that join two components, and so kill one.  Prim
+    takes a non-edge, ranked ``len(edge_lengths)``, only to start a new
+    component, which is an essential bar.
+    """
+    n, values = filt.n_vertices, filt.edge_lengths
+    i = np.arange(n, dtype=np.int32)
+    keys = _keys(filt.edge_rank, [np.minimum.outer(i, i), np.maximum.outer(i, i)], n)
+    killed = np.sort(_spanning_tree_weights(keys))
+    killed = killed[killed < len(values) * n**2]
+    deaths = values[killed // n**2]
+    bars = [Interval(0.0, t) for t in deaths[deaths != 0].tolist()]
+    return bars + [Interval(0.0, None)] * (n - len(killed)), killed
+
+
 def _cleared(filt: Filtration, d: int, killed: np.ndarray) -> np.ndarray:
     """Mask of the stored d-simplices whose keys are in ``killed``."""
     keys = _keys(_birth_ranks(filt, d), list(filt.verts_by_dim[d].T), filt.n_vertices)
@@ -576,8 +599,9 @@ def _cleared(filt: Filtration, d: int, killed: np.ndarray) -> np.ndarray:
 def compute_persistence(filt: Filtration) -> Barcode:
     """Standard Z/2 persistence pairing of the filtration.
 
-    Every reported degree, dim 0 included, reduces its coboundary block,
-    with the rows killed in one degree clearing the columns of the next.
+    Dim 0 comes from the minimum spanning tree of the filtration order
+    (``_dim0_block``); every higher reported degree reduces its coboundary
+    block.  The rows killed in one degree clear the columns of the next.
     Cohomology gives the same pairs as homology (de Silva, Morozov and
     Vejdemo-Johansson 2011), and clearing and apparent pairs are pure
     speedups, so the output is identical to the plain left-to-right column
@@ -585,14 +609,12 @@ def compute_persistence(filt: Filtration) -> Barcode:
     against on small inputs.
     """
     bars: dict[int, list[Interval]] = {}
-    paired = essential = 0
-    cleared = np.zeros(filt.n_vertices, dtype=bool)
-    for d in range(filt.max_dim + 1):
-        bars[d], killed = _coboundary_block(filt, d, cleared)
+    bars[0], killed = _dim0_block(filt)
+    paired, essential = len(killed), filt.n_vertices - len(killed)
+    for d in range(1, filt.max_dim + 1):
+        bars[d], killed = _coboundary_block(filt, d, _cleared(filt, d, killed))
         paired += len(killed)
         essential += sum(1 for iv in bars[d] if iv.is_infinite)
-        if d < filt.max_dim:
-            cleared = _cleared(filt, d + 1, killed)
 
     # top-dimensional simplices that were not killed are essential classes
     # in an unreported dimension; they still enter the simplex accounting
@@ -615,16 +637,9 @@ def rips_persistence(dist, max_dim: int, max_radius: Optional[float] = None) -> 
     the cap, so the barcode stays valid at every radius and its
     ``max_radius`` is reported as infinity.
     """
-    capped = max_radius is None
     barcode = compute_persistence(build_rips(dist, max_dim, max_radius))
-    if capped:
-        barcode = Barcode(
-            intervals=barcode.intervals,
-            n_simplices=barcode.n_simplices,
-            paired_count=barcode.paired_count,
-            essential_count=barcode.essential_count,
-            max_radius=math.inf,
-        )
+    if max_radius is None:
+        barcode = replace(barcode, max_radius=math.inf)
     return barcode
 
 
@@ -640,8 +655,6 @@ def betti_at(barcode: Barcode, dim: int, radius: float) -> int:
     horizon; queries beyond it are flagged.
     """
     if radius > barcode.max_radius:
-        import warnings
-
         warnings.warn(
             f"radius {radius} exceeds the barcode horizon {barcode.max_radius}; "
             "counts may miss later simplices",
@@ -680,23 +693,25 @@ def b0_curve(dist, radii: Sequence[float]) -> np.ndarray:
     return _alive(np.zeros(arr.shape[0]), _spanning_tree_weights(arr), radii)
 
 
-def _spanning_tree_weights(arr: np.ndarray) -> np.ndarray:
-    """Edge weights of a minimum spanning tree of the complete graph whose
-    edge weights are the distances, by Prim's algorithm: n - 1 steps of
-    O(n) vectorized work.  Every minimum spanning tree has the same weights,
-    and a zero distance is an edge like any other."""
-    n = arr.shape[0]
-    reach = arr[0].copy()  # distance from the tree to each vertex
+def _spanning_tree_weights(weights: np.ndarray) -> np.ndarray:
+    """Edge weights of a minimum spanning tree of the complete graph with
+    the given symmetric float or integer edge weights, by Prim's algorithm:
+    n - 1 steps of O(n) vectorized work.  Every minimum spanning tree has
+    the same weights, a zero weight is an edge like any other, and distinct
+    weights make the tree unique.  The diagonal is ignored."""
+    n = weights.shape[0]
+    done = np.inf if weights.dtype.kind == "f" else np.iinfo(weights.dtype).max
+    reach = weights[0].copy()  # lightest weight from the tree to each vertex
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
-    weights = np.empty(n - 1)
+    tree = np.empty(n - 1, dtype=weights.dtype)
     for i in range(n - 1):
-        reach[in_tree] = np.inf
+        reach[in_tree] = done
         v = int(np.argmin(reach))
-        weights[i] = reach[v]
+        tree[i] = reach[v]
         in_tree[v] = True
-        np.minimum(reach, arr[v], out=reach)
-    return weights
+        np.minimum(reach, weights[v], out=reach)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -706,17 +721,14 @@ def _spanning_tree_weights(arr: np.ndarray) -> np.ndarray:
 
 def _gf2_rank(columns: list[int]) -> int:
     pivots: dict[int, int] = {}
-    rank = 0
     for col in columns:
         while col:
             low = col.bit_length() - 1
-            if low in pivots:
-                col ^= pivots[low]
-            else:
+            if low not in pivots:
                 pivots[low] = col
-                rank += 1
                 break
-    return rank
+            col ^= pivots[low]
+    return len(pivots)
 
 
 def _clique_simplices(adj: np.ndarray, top_dim: int) -> list[list[tuple[int, ...]]]:
@@ -748,7 +760,7 @@ def _boundary_rank(faces: list[tuple[int, ...]], cofaces: list[tuple[int, ...]])
 def brute_force_betti(dist, dim: int, radius: float) -> int:
     """Betti number of the clique complex at ``radius`` by rank-nullity.
 
-    ``complex_betti`` of every clique up to dimension dim+1, which is
+    The Betti numbers of every clique up to dimension dim+1, which is
     independent of the persistence pairing and so can validate it.  Guarded
     to small inputs.
     """
@@ -759,8 +771,7 @@ def brute_force_betti(dist, dim: int, radius: float) -> int:
             f"brute-force oracle is limited to {BRUTE_FORCE_POINT_GUARD} points, got {n}"
         )
     adj = (arr <= radius) & ~np.eye(n, dtype=bool)
-    betti = complex_betti(s for layer in _clique_simplices(adj, dim + 1) for s in layer)
-    return betti[dim] if dim < len(betti) else 0
+    return _betti(_clique_simplices(adj, dim + 1))[dim]
 
 
 def _normalize_complex(simplices: Iterable[Sequence[int]]) -> list[list[tuple[int, ...]]]:
@@ -776,15 +787,8 @@ def _normalize_complex(simplices: Iterable[Sequence[int]]) -> list[list[tuple[in
                 face = vs[:drop] + vs[drop + 1 :]
                 if face not in seen:
                     raise FaceClosureError(f"face {face} of {vs} is missing")
-    if not seen:
-        return []
-    top = max(len(s) for s in seen) - 1
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(top + 1)]
-    for vs in seen:
-        by_dim[len(vs) - 1].append(vs)
-    for lst in by_dim:
-        lst.sort()
-    return by_dim
+    top = max(map(len, seen), default=0)
+    return [sorted(vs for vs in seen if len(vs) == k) for k in range(1, top + 1)]
 
 
 def complex_betti(simplices: Iterable[Sequence[int]]) -> list[int]:
@@ -793,15 +797,14 @@ def complex_betti(simplices: Iterable[Sequence[int]]) -> list[int]:
     The input must be closed under taking faces; raises FaceClosureError
     otherwise.  Returns [b_0, ..., b_top].
     """
-    by_dim = _normalize_complex(simplices)
-    top = len(by_dim) - 1
-    betti = []
-    for d in range(top + 1):
-        c_dim = len(by_dim[d])
-        rank_down = _boundary_rank(by_dim[d - 1], by_dim[d]) if d >= 1 else 0
-        rank_up = _boundary_rank(by_dim[d], by_dim[d + 1]) if d < top else 0
-        betti.append(c_dim - rank_down - rank_up)
-    return betti
+    return _betti(_normalize_complex(simplices))
+
+
+def _betti(by_dim: list[list[tuple[int, ...]]]) -> list[int]:
+    """Betti numbers by rank-nullity of a complex given as its sorted
+    simplices per dimension; each boundary rank is taken once."""
+    ranks = [0] + [_boundary_rank(a, b) for a, b in zip(by_dim, by_dim[1:])] + [0]
+    return [len(s) - ranks[d] - ranks[d + 1] for d, s in enumerate(by_dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -842,10 +845,7 @@ def barcode_from_text(text: str) -> dict[int, list[Interval]]:
 
 def barcode_svg(barcode: Barcode, width: int = 640, bar_height: int = 6, pad: int = 24) -> str:
     """Barcode plot as an SVG string: red bars for dim 0, blue for dim 1."""
-    bars: list[tuple[int, Interval]] = []
-    for d in barcode.dims():
-        for iv in barcode.intervals[d]:
-            bars.append((d, iv))
+    bars = [(d, iv) for d in barcode.dims() for iv in barcode.intervals[d]]
     finite = [iv.death for _, iv in bars if iv.death is not None]
     births = [iv.birth for _, iv in bars]
     x_max = max(finite + births + [1.0]) * 1.05 or 1.0

@@ -83,9 +83,9 @@ def boundary_matrix(filt: H.Filtration) -> BoundaryMatrix:
     )
 
 
-def reference_persistence(filt: H.Filtration) -> H.Barcode:
-    """Plain left-to-right column reduction over the full boundary matrix."""
-    matrix = boundary_matrix(filt)
+def _pair_of_row(matrix: BoundaryMatrix) -> dict[int, int]:
+    """Plain left-to-right column reduction: for each row that is some
+    column's pivot, that column."""
     m = len(matrix.columns)
     cols = [0] * m
     for j, faces in enumerate(matrix.columns):
@@ -93,20 +93,33 @@ def reference_persistence(filt: H.Filtration) -> H.Barcode:
         for f in faces:
             c |= 1 << f
         cols[j] = c
-    pivot_of: dict[int, int] = {}
     pair_of_row: dict[int, int] = {}
     for j in range(m):
         col = cols[j]
         while col:
             low = col.bit_length() - 1
-            if low in pivot_of:
-                col ^= cols[pivot_of[low]]
+            if low in pair_of_row:
+                col ^= cols[pair_of_row[low]]
             else:
-                pivot_of[low] = j
                 pair_of_row[low] = j
                 break
         cols[j] = col
+    return pair_of_row
 
+
+def killing_simplices(filt: H.Filtration, d: int) -> list[tuple[int, ...]]:
+    """Vertices of the (d+1)-simplices that kill a d-class, in filtration
+    order."""
+    ordered, matrix = simplices(filt), boundary_matrix(filt)
+    pairs = sorted((j, i) for i, j in _pair_of_row(matrix).items())
+    return [ordered[j].vertices for j, i in pairs if matrix.dims[i] == d]
+
+
+def reference_persistence(filt: H.Filtration) -> H.Barcode:
+    """Plain left-to-right column reduction over the full boundary matrix."""
+    matrix = boundary_matrix(filt)
+    m = len(matrix.columns)
+    pair_of_row = _pair_of_row(matrix)
     bars: dict[int, list[H.Interval]] = {}
     paired = 0
     essential = 0

@@ -208,6 +208,16 @@ def test_sweep_row_count(idx_dir, tmp_path):
     assert len(rows) == 9
 
 
+@pytest.mark.parametrize("widths, seeds, missing", [("", "1", "width"), ("2", "", "seed")])
+def test_sweep_with_no_width_or_no_seed_exits_1(idx_dir, tmp_path, capsys, widths, seeds, missing):
+    out = tmp_path / "s"
+    argv = ["sweep", "--data", str(idx_dir), "--widths", widths, "--seeds", seeds,
+            "--epochs", "1", "--cap", "20", "--out", str(out)]
+    assert main(argv) == 1
+    assert f"need at least one {missing}" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_on_csv_warns_that_accuracy_uses_the_training_split(tmp_path, capsys):
     train, _ = data.make_image_dataset(60, 10, seed=2, side=4, classes=2)
     csv = tmp_path / "train.csv"
@@ -261,6 +271,22 @@ def test_cover_command_trained_net(idx_dir, tmp_path):
     text = (out / "cover.txt").read_text()
     assert "alphas=1" in text
     assert ("pass=" in text) or ("region empty" in text)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--count", "0"), ("--count", "-1"), ("--box", "inf"), ("--box", "nan"), ("--box", "-1"),
+     ("--box", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_cover_rejects_bad_sampling_flags_as_usage_errors(tmp_path, capsys, flag, value):
+    out = tmp_path / "c"
+    argv = ["cover", "--checkpoint", str(tmp_path / "ck.json"), "--class-j", "0", "--alphas", "1",
+            "--layer", "1", flag, value, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cover_degenerate_net_reports_rank_error(idx_dir, tmp_path):

@@ -288,8 +288,7 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
                 cofacets_1, latest_1 = cofacets, latest
         # the dim-1 block must reduce the columns that are neither cleared by
         # a dim-0 death nor apparent pairs
-        killed = H._coboundary_block(filt, 0, np.zeros(len(d), dtype=bool))[1]
-        negative_edges = H._cleared(filt, 1, killed)
+        negative_edges = H._cleared(filt, 1, H._dim0_block(filt)[1])
         non_apparent += sum(
             1
             for c, edge in enumerate(map(tuple, filt.verts_by_dim[1].tolist()))
@@ -298,6 +297,32 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
             and latest_1[cofacets_1[edge][0]] != edge
         )
     assert non_apparent > 0
+
+
+def _dim0_edge_cases():
+    rng = np.random.default_rng(20)
+    generic = H.pairwise_distances(rng.normal(size=(7, 2)))
+    yield "one point", H.pairwise_distances([[0.5, -1.0]]), None
+    # max_radius below every distance: no edge, every vertex its own class
+    yield "disconnected", generic, 0.5 * float(generic[generic > 0].min())
+    # every edge has rank 0, so the vertex order alone decides the pairs
+    yield "coincident", np.zeros((6, 6)), None
+    grid = rng.integers(0, 3, size=(14, 2)).astype(float)  # ties and duplicates
+    yield "rounded grid", H.pairwise_distances(grid), 2.0
+
+
+@pytest.mark.parametrize("max_dim", [0, 1])
+def test_dim0_spanning_tree_matches_reference_on_edge_cases(max_dim):
+    for name, d, radius in _dim0_edge_cases():
+        filt = H.build_rips(d, max_dim, radius)
+        fast = H.compute_persistence(filt)
+        slow = oracle.reference_persistence(filt)
+        assert fast.intervals == slow.intervals, name
+        assert fast.paired_count == slow.paired_count, name
+        assert fast.essential_count == slow.essential_count, name
+        killed = H._dim0_block(filt)[1]
+        tree_edges = [verts for _, verts in _decode_keys(filt, killed, 2)]
+        assert tree_edges == oracle.killing_simplices(filt, 0), name
 
 
 @pytest.mark.parametrize("max_dim", [0, 1, 2])
