@@ -314,6 +314,8 @@ def width_sweep(
         raise ValueError("need at least one seed")
     if layer is None:
         layer = hidden_layers
+    if not 1 <= layer <= hidden_layers:
+        raise ValueError(f"layer must be in 1..{hidden_layers}, got {layer}")
     rows = []
     for width in widths:
         for seed in seeds:

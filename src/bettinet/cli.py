@@ -274,12 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True, help="IDX directory or CSV file")
         p.add_argument("--label-col", type=int, default=-1, help="CSV label column")
 
+    def add_training_flags(p):
+        positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
+        p.add_argument("--epochs", type=positive, default=5)
+        p.add_argument(
+            "--lr", type=_checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
+            default=0.05,
+        )
+        p.add_argument("--batch-size", type=positive, default=32)
+
     p = sub.add_parser("train", help="train a dense classifier")
     add_data_flags(p)
     p.add_argument("--widths", type=_parse_int_list, required=True, help="hidden widths")
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=32)
+    add_training_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--act", choices=["relu", "poly"], default="relu")
     p.add_argument("--degree", type=int, default=2)
@@ -303,9 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-data", default=None)
     p.add_argument("--widths", type=_parse_int_list, required=True)
     p.add_argument("--seeds", type=_parse_int_list, required=True)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--batch-size", type=int, default=32)
+    add_training_flags(p)
     p.add_argument("--act", choices=["relu", "poly"], default="relu")
     p.add_argument("--degree", type=int, default=2)
     p.add_argument("--layer", type=int, default=None)

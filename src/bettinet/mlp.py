@@ -8,13 +8,15 @@ post-batch-norm output of hidden block k.  Inference mode uses running
 batch-norm statistics, so activation extraction is a deterministic affine
 function of the patterns and repeated extractions agree bit for bit.
 
-Training is single-threaded and deterministic given its seed; forward
-passes and extraction on a frozen network may run concurrently.
+Training is deterministic given its seed and the BLAS thread count: BLAS
+may split a product differently across threads and round it differently.
+Forward passes and extraction on a frozen network may run concurrently.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -139,11 +141,8 @@ class Network:
 
     @property
     def widths(self) -> tuple[int, ...]:
-        ws = [self.hidden[0].dense.weight.shape[1]] if self.hidden else [self.output.weight.shape[1]]
-        for block in self.hidden:
-            ws.append(block.dense.weight.shape[0])
-        ws.append(self.output.weight.shape[0])
-        return tuple(ws)
+        dense = [block.dense for block in self.hidden] + [self.output]
+        return (dense[0].weight.shape[1],) + tuple(d.weight.shape[0] for d in dense)
 
     @property
     def depth(self) -> int:
@@ -221,22 +220,27 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
 
 
 def _forward_train(net: Network, x: np.ndarray):
-    """Training-mode pass using batch statistics; returns caches for backprop."""
+    """Training-mode pass using batch statistics; caches (x_in, z, mu, var,
+    inv, x_hat) per hidden block for backprop, the last four None without
+    batch norm."""
+    n = len(x)
     caches = []
     for block in net.hidden:
         z = x @ block.dense.weight.T + block.dense.bias
         a = net.activation(z)
-        if block.norm is not None:
-            mu = a.mean(axis=0)
-            var = a.var(axis=0)
-            inv = 1.0 / np.sqrt(var + block.norm.eps)
-            x_hat = (a - mu) * inv
-            out = block.norm.gamma * x_hat + block.norm.beta
-            caches.append({"x_in": x, "z": z, "a": a, "mu": mu, "var": var, "inv": inv, "x_hat": x_hat})
-        else:
-            out = a
-            caches.append({"x_in": x, "z": z, "a": a})
-        x = out
+        norm = block.norm
+        if norm is None:
+            caches.append((x, z, None, None, None, None))
+            x = a
+            continue
+        # the operations numpy's mean and var run, without their wrappers
+        mu = np.add.reduce(a, 0) / n
+        d = a - mu
+        var = np.add.reduce(d * d, 0) / n
+        inv = 1.0 / np.sqrt(var + norm.eps)
+        x_hat = d * inv
+        caches.append((x, z, mu, var, inv, x_hat))
+        x = norm.gamma * x_hat + norm.beta
     logits = x @ net.output.weight.T + net.output.bias
     return caches, x, logits
 
@@ -244,38 +248,37 @@ def _forward_train(net: Network, x: np.ndarray):
 def _loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
     """Mean cross-entropy and parameter gradients (training-mode forward).
 
-    Pure: the network is not modified; batch-norm batch statistics are
-    returned so the caller can fold them into the running estimates.
+    ``grads`` follow ``_param_items`` order.  Pure: the network is not
+    modified; (BatchNorm, mu, var) per normalized block are returned so the
+    caller can fold them into the running estimates.
     """
     n = len(x)
     caches, last, logits = _forward_train(net, x)
     probs = _softmax(logits)
-    eps = 1e-300
-    loss = float(-np.mean(np.log(probs[np.arange(n), y] + eps)))
+    rows = np.arange(n)
+    loss = -float(np.add.reduce(np.log(probs[rows, y] + 1e-300)) / n)
 
     dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
+    dlogits[rows, y] -= 1.0
     dlogits /= n
 
-    grads = {"output.weight": dlogits.T @ last, "output.bias": dlogits.sum(axis=0)}
+    # built back to front, reversed into _param_items order at the end
+    grads = [np.add.reduce(dlogits, 0), dlogits.T @ last]
     g = dlogits @ net.output.weight
     batch_stats = []
     for idx in range(len(net.hidden) - 1, -1, -1):
         block = net.hidden[idx]
-        cache = caches[idx]
+        x_in, z, mu, var, inv, x_hat = caches[idx]
         if block.norm is not None:
-            x_hat, inv = cache["x_hat"], cache["inv"]
-            grads[f"hidden.{idx}.gamma"] = (g * x_hat).sum(axis=0)
-            grads[f"hidden.{idx}.beta"] = g.sum(axis=0)
+            grads += [np.add.reduce(g, 0), np.add.reduce(g * x_hat, 0)]
             dxhat = g * block.norm.gamma
-            da = inv * (dxhat - dxhat.mean(axis=0) - x_hat * (dxhat * x_hat).mean(axis=0))
-            batch_stats.append((idx, cache["mu"], cache["var"]))
-        else:
-            da = g
-        dz = da * net.activation.grad(cache["z"])
-        grads[f"hidden.{idx}.weight"] = dz.T @ cache["x_in"]
-        grads[f"hidden.{idx}.bias"] = dz.sum(axis=0)
-        g = dz @ block.dense.weight
+            g = inv * (dxhat - np.add.reduce(dxhat, 0) / n - x_hat * (np.add.reduce(dxhat * x_hat, 0) / n))
+            batch_stats.append((block.norm, mu, var))
+        dz = g * net.activation.grad(z)
+        grads += [np.add.reduce(dz, 0), dz.T @ x_in]
+        if idx:  # nothing reads the gradient of the input itself
+            g = dz @ block.dense.weight
+    grads.reverse()
     return loss, grads, batch_stats, probs
 
 
@@ -286,6 +289,12 @@ class TrainConfig:
     batch_size: int
     seed: int
     momentum: float = 0.0
+
+    def __post_init__(self):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0), ("momentum", 0)):
+            value = getattr(self, name)
+            if not low <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -312,13 +321,14 @@ def _param_items(net: Network):
 def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
     """SGD with optional momentum; mutates ``net`` in place.
 
-    Deterministic given the config seed.  Aborts with a diagnostic if the
-    loss turns NaN.
+    Deterministic given the config seed and the BLAS thread count.  Aborts
+    with a diagnostic if the loss turns NaN.
     """
     if dataset.dim != net.widths[0]:
         raise ValueError("dataset width does not match the network input")
     rng = np.random.default_rng(config.seed)
-    velocity = {name: np.zeros_like(p) for name, p in _param_items(net)}
+    params = [p for _, p in _param_items(net)]
+    velocity = [np.zeros_like(p) for p in params]
     losses, accs = [], []
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
@@ -328,26 +338,22 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
             idx = order[start : start + config.batch_size]
             x, y = dataset.features[idx], dataset.labels[idx]
             loss, grads, batch_stats, probs = _loss_and_grads(net, x, y)
-            if np.isnan(loss):
+            if math.isnan(loss):
                 raise TrainingDivergedError(
                     f"NaN loss at epoch {epoch}, batch starting {start}; "
                     "try a smaller learning rate"
                 )
             epoch_loss += loss * len(idx)
-            correct += int(np.sum(probs.argmax(axis=1) == y))
-            params = dict(_param_items(net))
-            for name, grad in grads.items():
-                v = velocity[name]
+            correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
+            for p, v, grad in zip(params, velocity, grads):
                 v *= config.momentum
-                v -= config.lr * grad
-                params[name] += v
-            for layer_idx, mu, var in batch_stats:
-                norm = net.hidden[layer_idx].norm
-                m = norm.momentum
-                norm.running_mean *= 1.0 - m
-                norm.running_mean += m * mu
-                norm.running_var *= 1.0 - m
-                norm.running_var += m * var
+                grad *= config.lr
+                v -= grad
+                p += v
+            for norm, *stats in batch_stats:
+                for running, batch in zip((norm.running_mean, norm.running_var), stats):
+                    running *= 1.0 - norm.momentum
+                    running += norm.momentum * batch
         losses.append(epoch_loss / len(dataset))
         accs.append(correct / len(dataset))
     return TrainLog(epoch_losses=tuple(losses), epoch_accuracies=tuple(accs))
@@ -392,11 +398,8 @@ def _loss_only(net: Network, x: np.ndarray, y: np.ndarray, dtype=np.float64) -> 
 def _kink_margin(net: Network, x: np.ndarray) -> float:
     """Smallest |pre-activation| anywhere; ReLU derivative is only trusted
     away from zero crossings."""
-    margin = np.inf
     caches, _, _ = _forward_train(net, x)
-    for cache in caches:
-        margin = min(margin, float(np.min(np.abs(cache["z"]))))
-    return margin
+    return min((float(np.min(np.abs(z))) for _, z, *_ in caches), default=np.inf)
 
 
 def gradient_check(
@@ -426,12 +429,8 @@ def gradient_check(
 
     _, grads, _, _ = _loss_and_grads(net, x, y)
     worst = 0.0
-    for name, param in _param_items(net):
-        grad = grads.get(name)
-        if grad is None:
-            continue
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
+    for (_, param), grad in zip(_param_items(net), grads):
+        flat, gflat = param.reshape(-1), grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step

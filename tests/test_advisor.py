@@ -233,9 +233,9 @@ def test_width_sweep_b0_matches_dim1_layer_profile():
     assert min(row.max_b0_min_radius for row in result.rows) < 30
 
 
-def test_width_sweep_single_width_and_width_one():
+def test_width_sweep_single_width_and_width_one(monkeypatch):
     train, test = make_image_dataset(60, 30, seed=4, side=5, classes=2)
-    result = advisor.width_sweep(
+    kwargs = dict(
         widths=[1],
         seeds=[0],
         train_dataset=train,
@@ -246,11 +246,18 @@ def test_width_sweep_single_width_and_width_one():
         batch_size=16,
         per_class_cap=20,
     )
+    result = advisor.width_sweep(**kwargs)
     assert len(result.rows) == 1
     row = result.rows[0]
     assert row.width == 1
     assert 0.0 <= row.accuracy <= 1.0
     assert row.max_b0_min_radius >= 1
+    # a layer the nets do not have is refused before anything trains
+    trained = []
+    monkeypatch.setattr(advisor, "train_sgd", lambda *args: trained.append(args))
+    with pytest.raises(ValueError, match=r"layer must be in 1\.\.3, got 4"):
+        advisor.width_sweep(**kwargs, layer=4)
+    assert trained == []
 
 
 def test_b0_at_min_radius_uses_first_positive_grid_point():

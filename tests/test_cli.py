@@ -208,6 +208,26 @@ def test_sweep_row_count(idx_dir, tmp_path):
     assert len(rows) == 9
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--epochs", "0"), ("--epochs", "-1"), ("--batch-size", "0"), ("--batch-size", "-5"),
+     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1")],
+)
+def test_training_commands_reject_bad_flags_as_usage_errors(
+    idx_dir, tmp_path, capsys, command, flag, value
+):
+    out = tmp_path / "o"
+    argv = [command, "--data", str(idx_dir), "--widths", "2", flag, value, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--seeds", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("widths, seeds, missing", [("", "1", "width"), ("2", "", "seed")])
 def test_sweep_with_no_width_or_no_seed_exits_1(idx_dir, tmp_path, capsys, widths, seeds, missing):
     out = tmp_path / "s"

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import sgd_oracle
 from bettinet import mlp
-from bettinet.data import Dataset
+from bettinet.data import Dataset, make_image_dataset
 
 
 def blob_dataset(seed=0, per_class=50):
@@ -93,6 +94,58 @@ def test_train_nan_loss_aborts_with_diagnostic():
     net = mlp.build_network([2, 4, 2], mlp.poly_activation(), seed=3, batch_norm=False)
     with pytest.raises(mlp.TrainingDivergedError, match="epoch"):
         mlp.train_sgd(net, ds, mlp.TrainConfig(epochs=50, lr=1e6, batch_size=16, seed=5))
+
+
+def _train_state(train, net, ds, config):
+    """Everything training leaves behind, as bytes: the log or the
+    divergence message, every parameter and the running statistics."""
+    try:
+        outcome = repr(train(net, ds, config))
+    except mlp.TrainingDivergedError as exc:
+        outcome = f"diverged: {exc}"
+    arrays = [p for _, p in mlp._param_items(net)]
+    arrays += [a for b in net.hidden if b.norm for a in (b.norm.running_mean, b.norm.running_var)]
+    return outcome, [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize(
+    "hidden, act, batch_norm, momentum, lr",
+    [
+        pytest.param([8, 8], mlp.relu_activation(), True, 0.0, 0.05, id="relu-bn"),
+        pytest.param([8, 8], mlp.relu_activation(), True, 0.9, 0.05, id="relu-bn-momentum"),
+        pytest.param([8, 5], mlp.relu_activation(), False, 0.9, 0.05, id="relu-momentum"),
+        pytest.param([6], mlp.poly_activation((0.1, 0.5, 0.3)), True, 0.9, 0.05, id="poly-bn-momentum"),
+        pytest.param([6, 4], mlp.poly_activation((0.1, 0.5, 0.3)), False, 0.0, 0.02, id="poly"),
+        pytest.param([], mlp.relu_activation(), True, 0.9, 0.05, id="no-hidden-layer"),
+        pytest.param([4], mlp.poly_activation(), False, 0.0, 1e6, id="diverging"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_sgd_bit_identical_to_the_dict_based_oracle(hidden, act, batch_norm, momentum, lr):
+    train_ds, _ = make_image_dataset(70, 10, seed=2, side=6, classes=3)  # 70 rows, batches of 32
+    config = mlp.TrainConfig(epochs=3, lr=lr, batch_size=32, seed=4, momentum=momentum)
+    states = []
+    for train in (mlp.train_sgd, sgd_oracle.train_sgd):
+        net = mlp.build_network([train_ds.dim, *hidden, 3], act, seed=1, batch_norm=batch_norm)
+        states.append(_train_state(train, net, train_ds, config))
+    assert states[0] == states[1]
+    # the diverging run fails in its second epoch, after 4 updates
+    diverged = states[0][0].startswith("diverged: NaN loss at epoch 1, batch starting 64;")
+    assert diverged == (lr == 1e6)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epochs", 0), ("epochs", -1), ("batch_size", 0), ("batch_size", -5), ("lr", float("nan")),
+     ("lr", float("inf")), ("lr", -0.1), ("momentum", float("nan")), ("momentum", -0.5)],
+)
+def test_train_config_rejects_bad_values(field, value):
+    kwargs = dict(epochs=1, lr=0.1, batch_size=8, seed=0, momentum=0.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=field):
+        mlp.TrainConfig(**kwargs)
+    kwargs[field] = 0.0 if field in ("lr", "momentum") else 1
+    mlp.TrainConfig(**kwargs)
 
 
 def test_gradient_check_20_random_nets():
