@@ -82,7 +82,6 @@ class ClassCurves:
 class ClassProfile:
     curves: dict[int, ClassCurves]
     grid: np.ndarray
-    cap: int  # subsample cap, recorded in every report
 
     def class_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.curves))
@@ -112,7 +111,6 @@ def _curves_for_cloud(args) -> ClassCurves:
 def _profile_clouds(
     clouds: dict[int, np.ndarray],
     radius_grid: Optional[np.ndarray],
-    cap: int,
     max_dim: int,
     jobs: int,
 ) -> ClassProfile:
@@ -124,11 +122,11 @@ def _profile_clouds(
 
     tasks = [(dist, grid, max_dim) for dist in dists.values()]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_curves_for_cloud, tasks))
     else:
         results = [_curves_for_cloud(t) for t in tasks]
-    return ClassProfile(curves=dict(zip(dists, results)), grid=grid, cap=cap)
+    return ClassProfile(curves=dict(zip(dists, results)), grid=grid)
 
 
 def _profiled_classes(dataset: Dataset, per_class_cap: int) -> list[int]:
@@ -161,7 +159,7 @@ def input_profile(
     clouds = {
         c: dataset.features[dataset.sample_class_indices(c, per_class_cap, seed)] for c in classes
     }
-    return _profile_clouds(clouds, radius_grid, per_class_cap, max_dim=1, jobs=jobs)
+    return _profile_clouds(clouds, radius_grid, max_dim=1, jobs=jobs)
 
 
 def layer_profile(
@@ -183,7 +181,7 @@ def layer_profile(
         c: extract_class_activations(net, dataset, layer, c, per_class_cap, seed).activations
         for c in classes
     }
-    return _profile_clouds(clouds, radius_grid, per_class_cap, max_dim, jobs)
+    return _profile_clouds(clouds, radius_grid, max_dim, jobs)
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,6 @@ from . import advisor, bounds, data, homology, mlp, semialgebraic
 __all__ = ["main", "build_parser"]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    try:
-        return [int(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
 def _checked(convert, ok, what: str):
     """An argparse type that converts the text and requires ``ok`` of the
     value, so a bad value is a usage error (exit code 2)."""
@@ -49,8 +42,17 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-def _write_config_echo(out_dir: Path, command: str, args: argparse.Namespace):
-    lines = [f"command={command}"]
+_parse_int_list = _checked(
+    lambda text: [int(p) for p in text.split(",") if p != ""],
+    lambda _: True,
+    "comma-separated integers",
+)
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
+
+
+def _write_config_echo(out_dir: Path, args: argparse.Namespace):
+    lines = [f"command={args.command}"]
     for key, value in sorted(vars(args).items()):
         if key in ("func", "command"):
             continue
@@ -60,18 +62,12 @@ def _write_config_echo(out_dir: Path, command: str, args: argparse.Namespace):
     (out_dir / "config.echo").write_text("\n".join(lines) + "\n")
 
 
-def _ensure_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _load_dataset(path_text: str, label_col: int) -> data.Dataset:
+def _load_dataset(path_text: str, label_col: int, split: str = "train") -> data.Dataset:
     path = Path(path_text)
     if not path.exists():
         raise FileNotFoundError(f"dataset path {path} does not exist")
     if path.is_dir():
-        return data.load_idx_dataset(path, split="train")
+        return data.load_idx_dataset(path, split=split)
     return data.load_csv_dataset(path, label_col=label_col)
 
 
@@ -80,11 +76,8 @@ def _warn_training_accuracy(reason: str):
 
 
 def _load_test_dataset(args) -> data.Dataset:
-    if getattr(args, "test_data", None):
-        path = Path(args.test_data)
-        if path.is_dir():
-            return data.load_idx_dataset(path, split="test")
-        return data.load_csv_dataset(path, label_col=args.label_col)
+    if args.test_data:
+        return _load_dataset(args.test_data, args.label_col, split="test")
     path = Path(args.data)
     if path.is_dir():
         try:
@@ -108,9 +101,7 @@ def _activation_from_args(args) -> mlp.ActivationFn:
 # ---------------------------------------------------------------------------
 
 
-def cmd_bounds(args) -> int:
-    out = _ensure_out(args)
-    _write_config_echo(out, "bounds", args)
+def cmd_bounds(args, out: Path) -> int:
     widths = tuple(args.widths) + (args.classes,)
     activation = bounds.Activation(args.act, args.degree)
     arch = bounds.ArchitectureSpec(widths=widths, activation=activation)
@@ -126,9 +117,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_homology(args) -> int:
-    out = _ensure_out(args)
-    _write_config_echo(out, "homology", args)
+def cmd_homology(args, out: Path) -> int:
     points, _ = data.load_csv_points(args.points, label_col=args.label_col)
     dist = homology.pairwise_distances(points)
     barcode = homology.rips_persistence(dist, max_dim=args.max_dim, max_radius=args.max_radius)
@@ -139,9 +128,7 @@ def cmd_homology(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    out = _ensure_out(args)
-    _write_config_echo(out, "train", args)
+def cmd_train(args, out: Path) -> int:
     dataset = _load_dataset(args.data, args.label_col)
     shape = [dataset.dim] + list(args.widths) + [dataset.n_classes]
     net = mlp.build_network(
@@ -171,9 +158,7 @@ def _write_profile_files(out: Path, tag: str, profile: advisor.ClassProfile):
         (out / f"{tag}_class_{cid}.svg").write_text(homology.barcode_svg(curves.barcode))
 
 
-def cmd_analyze(args) -> int:
-    out = _ensure_out(args)
-    _write_config_echo(out, "analyze", args)
+def cmd_analyze(args, out: Path) -> int:
     dataset = _load_dataset(args.data, args.label_col)
     net = mlp.load_checkpoint(args.checkpoint)
     inp = advisor.input_profile(
@@ -192,9 +177,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    out = _ensure_out(args)
-    _write_config_echo(out, "sweep", args)
+def cmd_sweep(args, out: Path) -> int:
     train_ds = _load_dataset(args.data, args.label_col)
     test_ds = _load_test_dataset(args)
     result = advisor.width_sweep(
@@ -215,9 +198,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_cover(args) -> int:
-    out = _ensure_out(args)
-    _write_config_echo(out, "cover", args)
+def cmd_cover(args, out: Path) -> int:
     net = mlp.load_checkpoint(args.checkpoint)
     report = semialgebraic.cover_report(
         net,
@@ -259,40 +240,30 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the smallest width whose layer bound reaches this count",
     )
     p.add_argument("--free-layer", type=int, default=None, help="layer whose width is searched")
-    p.add_argument("--out", default="bounds_out")
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("homology", help="barcode of a CSV point cloud")
     p.add_argument("--points", required=True)
     p.add_argument("--label-col", type=int, default=None, help="column to drop as labels")
     p.add_argument("--max-dim", type=int, default=1)
     p.add_argument("--max-radius", type=float, default=None)
-    p.add_argument("--out", default="homology_out")
-    p.set_defaults(func=cmd_homology)
 
     def add_data_flags(p):
         p.add_argument("--data", required=True, help="IDX directory or CSV file")
         p.add_argument("--label-col", type=int, default=-1, help="CSV label column")
 
     def add_training_flags(p):
-        positive = _checked(int, lambda v: v >= 1, "an integer >= 1")
-        p.add_argument("--epochs", type=positive, default=5)
-        p.add_argument(
-            "--lr", type=_checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0"),
-            default=0.05,
-        )
-        p.add_argument("--batch-size", type=positive, default=32)
+        p.add_argument("--epochs", type=_positive_int, default=5)
+        p.add_argument("--lr", type=_finite_nonnegative, default=0.05)
+        p.add_argument("--batch-size", type=_positive_int, default=32)
+        p.add_argument("--act", choices=["relu", "poly"], default="relu")
+        p.add_argument("--degree", type=_positive_int, default=2)
 
     p = sub.add_parser("train", help="train a dense classifier")
     add_data_flags(p)
     p.add_argument("--widths", type=_parse_int_list, required=True, help="hidden widths")
     add_training_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--act", choices=["relu", "poly"], default="relu")
-    p.add_argument("--degree", type=int, default=2)
     p.add_argument("--no-batch-norm", action="store_true")
-    p.add_argument("--out", default="train_out")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("analyze", help="input vs layer topology profiles")
     add_data_flags(p)
@@ -301,9 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=advisor.DEFAULT_CLASS_CAP)
     p.add_argument("--threshold", type=float, default=advisor.DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", default="analyze_out")
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("sweep", help="width sweep: accuracy and layer b0")
     add_data_flags(p)
@@ -311,44 +280,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", type=_parse_int_list, required=True)
     p.add_argument("--seeds", type=_parse_int_list, required=True)
     add_training_flags(p)
-    p.add_argument("--act", choices=["relu", "poly"], default="relu")
-    p.add_argument("--degree", type=int, default=2)
     p.add_argument("--layer", type=int, default=None)
     p.add_argument("--cap", type=int, default=advisor.DEFAULT_CLASS_CAP)
     p.add_argument(
-        "--jobs", type=int, default=1, help="no effect: sweep computes only b0, serially"
+        "--jobs", type=_positive_int, default=1, help="no effect: sweep computes only b0, serially"
     )
-    p.add_argument("--out", default="sweep_out")
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cover", help="verify a ReLU decision-boundary cover piece")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--class-j", type=int, required=True)
     p.add_argument("--alphas", type=_parse_int_list, required=True)
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--count", type=_checked(int, lambda c: c >= 1, "an integer >= 1"), default=20)
+    p.add_argument("--count", type=_positive_int, default=20)
     p.add_argument(
         "--box",
         type=_checked(float, lambda b: 0 < b < math.inf, "a finite number > 0"),
         default=1.0,
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--tol",
-        type=_checked(float, lambda t: 0 <= t < math.inf, "a finite number >= 0"),
-        default=1e-6,
-    )
-    p.add_argument("--out", default="cover_out")
-    p.set_defaults(func=cmd_cover)
+    p.add_argument("--tol", type=_finite_nonnegative, default=1e-6)
 
+    for name, p in sub.choices.items():
+        p.add_argument("--out", default=f"{name}_out")
+        p.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv``, make ``--out``, write its ``config.echo`` and run the
+    command; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
     try:
-        return args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+        _write_config_echo(out, args)
+        return args.func(args, out)
     except (
         ValueError,
         FileNotFoundError,

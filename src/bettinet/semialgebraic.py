@@ -20,7 +20,7 @@ pairs may run in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -387,11 +387,11 @@ def _solve_affine_onto(
     rhs_part: np.ndarray,
     rhs_basis: np.ndarray,
     layer: int,
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray, int]:
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Solve mat @ x = rhs_part + rhs_basis @ u for x, introducing the
     non-pivot coordinates of x as new free variables appended to u.
 
-    Returns (pivot_cols, particular, basis, n_new_free) with
+    Returns (pivot_cols, particular, basis) with
     x = particular + basis @ (u, new_free).
     """
     rows, cols = mat.shape
@@ -406,7 +406,7 @@ def _solve_affine_onto(
     if n_new:
         basis[pivots, old_free:] = -inv @ mat[:, free]
         basis[free, old_free:] = np.eye(n_new)
-    return tuple(int(p) for p in pivots), particular, basis, n_new
+    return tuple(int(p) for p in pivots), particular, basis
 
 
 def solve_relu_boundary(
@@ -442,7 +442,7 @@ def solve_relu_boundary(
     tie_mat = w_out[class_j] - w_out[list(alphas)]
     tie_off = b_out[class_j] - b_out[list(alphas)]
 
-    pivots, particular, basis, _ = _solve_affine_onto(
+    pivots, particular, basis = _solve_affine_onto(
         tie_mat, -tie_off, np.zeros((len(alphas), 0)), layer=depth - 1
     )
     solves = [LayerSolve(layer=depth - 1, pivot_cols=pivots, particular=particular, basis=basis)]
@@ -454,28 +454,22 @@ def solve_relu_boundary(
         a_k = d[:, None] * w
         c_k = d * b + e
         target = solves[-1]
-        pivots, particular, basis, n_new = _solve_affine_onto(
+        pivots, particular, basis = _solve_affine_onto(
             a_k, target.particular - c_k, target.basis, layer=k
         )
-        if n_new:
-            solves = [
-                LayerSolve(
-                    layer=s.layer,
-                    pivot_cols=s.pivot_cols,
-                    particular=s.particular,
-                    basis=np.hstack([s.basis, np.zeros((s.basis.shape[0], n_new))]),
-                )
-                for s in solves
-            ]
         solves.append(LayerSolve(layer=k, pivot_cols=pivots, particular=particular, basis=basis))
 
-    n_free = solves[0].basis.shape[1]
-    by_layer = {s.layer: s for s in solves}
+    # free variables introduced below a layer are zero columns of its basis
+    n_free = solves[-1].basis.shape[1]
+    solves = [
+        replace(s, basis=np.hstack([s.basis, np.zeros((len(s.basis), n_free - s.basis.shape[1]))]))
+        for s in solves
+    ]
 
     pos_rows, pos_offs = [], []
     has_norm = any(block.norm is not None for block in net.hidden)
-    for k in range(layer, depth):
-        expr = by_layer[k]
+    for expr in reversed(solves):
+        k = expr.layer
         if has_norm:
             # batch norm can shift layer outputs negative; the ReLU identity
             # regime is the nonnegativity of each pre-activation instead
@@ -489,7 +483,7 @@ def solve_relu_boundary(
     positivity_matrix = np.vstack(pos_rows) if pos_rows else np.zeros((0, n_free))
     positivity_offset = np.concatenate(pos_offs) if pos_offs else np.zeros(0)
 
-    last = by_layer[depth - 1]
+    last = solves[0]
     others = [q for q in range(n) if q != class_j and q not in alphas]
     res_rows, res_offs = [], []
     for q in others:

@@ -212,7 +212,7 @@ def test_sweep_row_count(idx_dir, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--epochs", "0"), ("--epochs", "-1"), ("--batch-size", "0"), ("--batch-size", "-5"),
-     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1")],
+     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1"), ("--degree", "-1"), ("--degree", "0")],
 )
 def test_training_commands_reject_bad_flags_as_usage_errors(
     idx_dir, tmp_path, capsys, command, flag, value
@@ -225,6 +225,22 @@ def test_training_commands_reject_bad_flags_as_usage_errors(
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(idx_dir, tmp_path, capsys, command, jobs):
+    out = tmp_path / "o"
+    required = {
+        "analyze": ["--checkpoint", str(tmp_path / "ck.json"), "--layer", "1"],
+        "sweep": ["--widths", "2", "--seeds", "1"],
+    }[command]
+    argv = [command, "--data", str(idx_dir), *required, "--jobs", jobs, "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --jobs: expected an integer >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -347,6 +363,47 @@ def test_config_echo_contains_all_flags(idx_dir, tmp_path):
     echo = (out / "config.echo").read_text()
     for key in ("command=sweep", "widths=2", "seeds=1", "epochs=1", "lr=", "batch_size="):
         assert key in echo
+
+
+@pytest.fixture(scope="module")
+def idx_checkpoint(tmp_path_factory):
+    from bettinet import mlp
+
+    net = mlp.build_network([64, 5, 4, 4], mlp.relu_activation(), seed=0, batch_norm=False)
+    ck = tmp_path_factory.mktemp("ck") / "checkpoint.json"
+    mlp.save_checkpoint(net, ck)
+    return ck
+
+
+@pytest.mark.parametrize("command", ["bounds", "homology", "train", "analyze", "sweep", "cover"])
+def test_every_command_writes_config_echo(idx_dir, idx_checkpoint, tmp_path, command):
+    pts = tmp_path / "sq.csv"
+    pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+    flags = {
+        "bounds": ["--widths", "2,2", "--classes", "2", "--act", "relu"],
+        "homology": ["--points", str(pts)],
+        "train": ["--data", str(idx_dir), "--widths", "3", "--epochs", "1"],
+        "analyze": ["--data", str(idx_dir), "--checkpoint", str(idx_checkpoint), "--layer", "1",
+                    "--cap", "10"],
+        "sweep": ["--data", str(idx_dir), "--widths", "2", "--seeds", "1", "--epochs", "1",
+                  "--cap", "10"],
+        "cover": ["--checkpoint", str(idx_checkpoint), "--class-j", "0", "--alphas", "1",
+                  "--layer", "1", "--count", "5"],
+    }[command]
+    out = tmp_path / "run"
+    assert main([command, *flags, "--out", str(out)]) == 0
+    echo = (out / "config.echo").read_text().splitlines()
+    assert echo[0] == f"command={command}"
+    assert f"out={out}" in echo
+    assert not any(line.startswith(("func=", "command=")) for line in echo[1:])
+
+
+def test_missing_test_data_exits_1_with_a_message(idx_dir, tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    argv = ["sweep", "--data", str(idx_dir), "--test-data", str(missing), "--widths", "2",
+            "--seeds", "1", "--epochs", "1", "--out", str(tmp_path / "s")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: dataset path {missing} does not exist\n"
 
 
 def test_cli_import_and_homology_load_no_scipy(tmp_path):
