@@ -75,7 +75,7 @@ def _warn_training_accuracy(reason: str):
     print(f"warning: {reason}; accuracy is measured on the training split", file=sys.stderr)
 
 
-def _load_test_dataset(args) -> data.Dataset:
+def _load_test_dataset(args, train_ds: data.Dataset) -> data.Dataset:
     if args.test_data:
         return _load_dataset(args.test_data, args.label_col, split="test")
     path = Path(args.data)
@@ -85,7 +85,7 @@ def _load_test_dataset(args) -> data.Dataset:
         except FileNotFoundError:
             pass
     _warn_training_accuracy(f"no --test-data and no test split in {path}")
-    return _load_dataset(args.data, args.label_col)
+    return train_ds
 
 
 def _activation_from_args(args) -> mlp.ActivationFn:
@@ -179,7 +179,7 @@ def cmd_analyze(args, out: Path) -> int:
 
 def cmd_sweep(args, out: Path) -> int:
     train_ds = _load_dataset(args.data, args.label_col)
-    test_ds = _load_test_dataset(args)
+    test_ds = _load_test_dataset(args, train_ds)
     result = advisor.width_sweep(
         widths=args.widths,
         seeds=args.seeds,

@@ -20,6 +20,7 @@ pairs may run in parallel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
@@ -355,20 +356,37 @@ class SamplingResult:
 
 
 def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot/free column split by column-pivoted elimination; the pivot
-    block must be comfortably invertible."""
+    """Pivot/free column split by greedy column pivoting; the pivot block
+    must be comfortably invertible.
+
+    Each of ``rows`` steps takes the free column with the largest residual
+    norm (the first one on a tie) and projects its direction out of every
+    column.  On full-rank input this picks the pivot set of a
+    column-pivoted QR (LAPACK ``dgeqp3``, Businger & Golub 1965); below
+    full rank every block is singular, and the choice among rounding noise
+    moves only the reported singular value.  The matrix is first scaled by
+    the power of two that brings its largest entry near 1, which is exact
+    and keeps the squared norms from overflowing or underflowing.
+    """
     rows, cols = mat.shape
     if rows > cols:
         raise RankDeficiencyError(
             f"system at layer {layer} is overdetermined ({rows} equations, {cols} unknowns)",
             layer=layer,
         )
-    # imported here: scipy.linalg costs about 0.3 s to load, and only this
-    # path needs it
-    import scipy.linalg
-
-    _, _, perm = scipy.linalg.qr(mat, pivoting=True)
-    pivots = np.sort(perm[:rows])
+    r = np.ldexp(mat, -math.frexp(np.abs(mat).max(initial=0.0))[1])
+    taken = np.zeros(cols, dtype=bool)
+    for step in range(rows):
+        norms = np.add.reduce(r * r, axis=0)
+        norms[taken] = -1.0
+        j = norms.argmax()
+        taken[j] = True
+        # a zero residual leaves nothing to project out; after the last
+        # step nothing reads the residuals
+        if norms[j] > 0 and step < rows - 1:
+            q = r[:, j] / math.sqrt(norms[j])
+            r -= q[:, None] * (q @ r)
+    pivots = taken.nonzero()[0]
     block = mat[:, pivots]
     smallest_sv = np.linalg.svd(block, compute_uv=False)[-1] if rows else 0.0
     if rows and smallest_sv < RANK_TOLERANCE:
@@ -377,9 +395,7 @@ def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]
             f"(smallest singular value {smallest_sv:.3e} < {RANK_TOLERANCE})",
             layer=layer,
         )
-    free = np.ones(cols, dtype=bool)
-    free[pivots] = False
-    return pivots, np.flatnonzero(free)
+    return pivots, (~taken).nonzero()[0]
 
 
 def _solve_affine_onto(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import bettinet
-from bettinet import data
+from bettinet import data, mlp
 from bettinet.cli import main
 
 
@@ -407,18 +407,22 @@ def test_missing_test_data_exits_1_with_a_message(idx_dir, tmp_path, capsys):
 
 
 def test_cli_import_and_homology_load_no_scipy(tmp_path):
-    # numpy computes the distances, the persistence and the spanning tree;
-    # scipy is loaded only by the commands that use it, on their first call
+    # numpy computes the distances, the persistence, the spanning tree and
+    # the cover solver's pivot columns, so no command loads scipy
     pts = tmp_path / "sq.csv"
     pts.write_text("0,0\n1,0\n1,1\n0,1\n")
     train, _ = data.make_image_dataset(40, 10, seed=3, side=4, classes=2)
     labeled = tmp_path / "train.csv"
     np.savetxt(labeled, np.column_stack([train.features, train.labels]), delimiter=",", fmt="%.17g")
+    checkpoint = tmp_path / "relu.json"
+    mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), checkpoint)
     src = str(Path(bettinet.__file__).resolve().parents[1])
     runs = [
         ["homology", "--points", str(pts), "--out", str(tmp_path / "h")],
         ["sweep", "--data", str(labeled), "--widths", "2", "--seeds", "1", "--epochs", "1",
          "--cap", "8", "--out", str(tmp_path / "s")],
+        ["cover", "--checkpoint", str(checkpoint), "--class-j", "0", "--alphas", "1,2",
+         "--layer", "1", "--out", str(tmp_path / "c")],
     ]
     code = "\n".join([
         "import contextlib, io, sys",
@@ -431,6 +435,31 @@ def test_cli_import_and_homology_load_no_scipy(tmp_path):
         "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == ["[]", "0 []", "0 []"]
+    assert result.stdout.splitlines() == ["[]", "0 []", "0 []", "0 []"]
     assert (tmp_path / "h" / "barcode.txt").read_text().startswith("0,0,1\n")
     assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1
+    assert (tmp_path / "c" / "cover.txt").read_text().startswith("boundary cover report")
+
+
+def test_sweep_without_test_data_parses_the_csv_once(tmp_path, capsys, monkeypatch):
+    train, _ = data.make_image_dataset(80, 10, seed=4, side=4, classes=2)
+    csv = tmp_path / "train.csv"
+    np.savetxt(csv, np.column_stack([train.features, train.labels]), delimiter=",", fmt="%.17g")
+    loaded = []
+    load_csv_dataset = data.load_csv_dataset
+
+    def counting(path, **kwargs):
+        loaded.append(Path(path))
+        return load_csv_dataset(path, **kwargs)
+
+    monkeypatch.setattr(data, "load_csv_dataset", counting)
+    args = ["sweep", "--data", str(csv), "--widths", "2", "--seeds", "1", "--epochs", "1",
+            "--cap", "10"]
+    assert main(args + ["--out", str(tmp_path / "implicit")]) == 0
+    assert loaded == [csv]
+    assert "training split" in capsys.readouterr().err
+    # reusing the training set gives the sweep that parsing the file again gives
+    assert main(args + ["--test-data", str(csv), "--out", str(tmp_path / "explicit")]) == 0
+    assert loaded == [csv] * 3
+    implicit = (tmp_path / "implicit" / "sweep.csv").read_bytes()
+    assert implicit == (tmp_path / "explicit" / "sweep.csv").read_bytes()

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +202,97 @@ def test_duplicate_output_rows_raise_rank_error():
     with pytest.raises(sa.RankDeficiencyError) as err:
         sa.solve_relu_boundary(net, 0, [1], layer=1)
     assert err.value.layer == 1
+
+
+def _assert_qr_pivots(mats):
+    # scipy is the oracle only: the solver picks its pivots in numpy
+    import scipy.linalg
+
+    for mat in mats:
+        pivots, free = sa._pivot_columns(mat, layer=1)
+        qr_pivots = np.sort(scipy.linalg.qr(mat, pivoting=True)[2][: len(mat)])
+        np.testing.assert_array_equal(pivots, qr_pivots)
+        assert sorted([*pivots, *free]) == list(range(mat.shape[1]))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160, 1e200, 1e-200])
+def test_pivot_columns_equal_pivoted_qr_on_gaussian_matrices(monkeypatch, scale):
+    # the rank check reads the unscaled singular values; only the pivot
+    # rule is under test here
+    monkeypatch.setattr(sa, "RANK_TOLERANCE", 0.0)
+    rng = np.random.default_rng(11)
+    mats = []
+    for _ in range(2000):
+        rows = int(rng.integers(1, 7))
+        mats.append(rng.normal(size=(rows, int(rng.integers(rows, 9)))) * scale)
+    _assert_qr_pivots(mats)
+
+
+def test_pivot_columns_take_the_first_of_tied_columns():
+    rng = np.random.default_rng(12)
+    mats = []
+    for _ in range(300):
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(rows + 1, 9))
+        mat = rng.normal(size=(rows, cols))
+        first, second = sorted(int(c) for c in rng.choice(cols, size=2, replace=False))
+        # the duplicated column has the largest norm, so the first step ties
+        column = rng.normal(size=rows)
+        column *= (np.linalg.norm(mat, axis=0).max() + 1.0) / np.linalg.norm(column)
+        mat[:, first] = mat[:, second] = column
+        pivots, _ = sa._pivot_columns(mat, layer=1)
+        assert first in pivots and second not in pivots
+        mats.append(mat)
+    _assert_qr_pivots(mats)
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_pivot_columns_equal_pivoted_qr_on_relu_solves(monkeypatch, batch_norm):
+    # 6-n1-n2-4 nets with random batch-norm statistics, the shape of the
+    # cover benchmark's nets; every matrix the solver pivots is recorded
+    mats = []
+    pivot_columns = sa._pivot_columns
+
+    def recording(mat, layer):
+        mats.append(mat.copy())
+        return pivot_columns(mat, layer)
+
+    monkeypatch.setattr(sa, "_pivot_columns", recording)
+    rng = np.random.default_rng(13)
+    for _ in range(8):
+        n1 = int(rng.integers(3, 7))
+        n2 = int(rng.integers(3, n1 + 1))
+        net = mlp.build_network([6, n1, n2, 4], mlp.relu_activation(),
+                                seed=int(rng.integers(2**31)), batch_norm=batch_norm)
+        for block in net.hidden:
+            if block.norm is not None:
+                block.norm.gamma[:] = rng.uniform(0.5, 1.5, block.norm.gamma.shape)
+                block.norm.running_var[:] = rng.uniform(0.5, 1.5, block.norm.gamma.shape)
+        mats += [d[:, None] * w for w, _, d, _ in sa._block_affines(net)]
+        for j in range(4):
+            others = [q for q in range(4) if q != j]
+            for size in (1, 2, 3):
+                for alphas in itertools.combinations(others, size):
+                    for layer in (1, 2):
+                        sa.solve_relu_boundary(net, j, alphas, layer)
+    monkeypatch.undo()
+    _assert_qr_pivots(mats)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [np.zeros((2, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),
+     np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0, 2.0])],
+    ids=["zero", "zero-row", "rank-1"],
+)
+def test_rank_deficient_pivot_blocks_raise_without_warnings(mat):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sa.RankDeficiencyError) as err:
+            sa._pivot_columns(mat, layer=4)
+    assert err.value.layer == 4
+    smallest = float(str(err.value).split("smallest singular value ")[1].split()[0])
+    assert 0.0 <= smallest < sa.RANK_TOLERANCE
 
 
 def test_solution_dimensions_follow_rank_nullity():
