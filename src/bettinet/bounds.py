@@ -130,6 +130,16 @@ def _poly_sum(n: int, k: int) -> int:
     return sum(binomial(n - 1, p + 1) * (3 ** (n - 2 - p) - 1) for p in range(n - 2)) + 1
 
 
+def _layers(arch: ArchitectureSpec) -> range:
+    """The layers with a bound: 1..l-1 for ReLU, 0..l-1 for a polynomial."""
+    return range(1 if arch.activation.kind == "relu" else 0, arch.depth)
+
+
+def _check_layer(arch: ArchitectureSpec, layer: int):
+    if layer not in _layers(arch):
+        raise ValueError(f"layer must be in {_layers(arch).start}..{arch.depth - 1}, got {layer}")
+
+
 def poly_layer_bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
     """Upper bound on the k-th Betti number of the layer-``layer`` class
     pre-image closure, polynomial activation of degree r.
@@ -141,8 +151,7 @@ def poly_layer_bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
     if arch.activation.kind != "poly":
         raise WrongActivationError("polynomial bound requires a polynomial-activation architecture")
     l = arch.depth
-    if not 0 <= layer <= l - 1:
-        raise ValueError(f"layer must be in 0..{l - 1}, got {layer}")
+    _check_layer(arch, layer)
     if k < 0:
         raise ValueError("homology dimension must be >= 0")
     _check_nonincreasing(arch)
@@ -167,8 +176,7 @@ def relu_layer_bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
     if arch.activation.kind != "relu":
         raise WrongActivationError("ReLU bound requires a ReLU-activation architecture")
     l = arch.depth
-    if not 1 <= layer <= l - 1:
-        raise ValueError(f"layer must be in 1..{l - 1}, got {layer}")
+    _check_layer(arch, layer)
     if k < 0:
         raise ValueError("homology dimension must be >= 0")
     _check_nonincreasing(arch)
@@ -264,12 +272,8 @@ class BoundReport:
 
 def layer_bound_profile(arch: ArchitectureSpec, k: int) -> BoundReport:
     """Bound for every admissible layer of the architecture."""
-    l = arch.depth
-    if arch.activation.kind == "relu":
-        entries = {i: relu_layer_bound(arch, k, i) for i in range(1, l)}
-    else:
-        entries = {i: poly_layer_bound(arch, k, i) for i in range(0, l)}
-    return BoundReport(arch=arch, k=k, entries=entries)
+    bound = relu_layer_bound if arch.activation.kind == "relu" else poly_layer_bound
+    return BoundReport(arch=arch, k=k, entries={i: bound(arch, k, i) for i in _layers(arch)})
 
 
 def _bound_with_width(arch: ArchitectureSpec, layer: int, k: int, width: int) -> int:
@@ -298,6 +302,7 @@ def min_width_for(
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
+    _check_layer(arch_template, layer)
     samples = [1, 2, 4, min(cap, 32), cap]
     values = [_bound_with_width(arch_template, layer, k, w) for w in samples]
     if any(values[t] > values[t + 1] for t in range(len(values) - 1)):

@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--cap", type=int, default=advisor.DEFAULT_CLASS_CAP)
-    p.add_argument("--threshold", type=float, default=advisor.DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_finite_nonnegative, default=advisor.DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
 

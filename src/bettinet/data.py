@@ -181,11 +181,13 @@ def load_csv_points(path, label_col: int | None = None):
                 raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
             if width is None:
                 width = len(row)
+                if label_col is not None and not -width <= label_col < width:
+                    raise FormatError(f"{path}: line {lineno}: no label column {label_col} in {width} columns")
             elif len(row) != width:
                 raise FormatError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
             if label_col is not None:
                 label = row[label_col]
-                if label != int(label):
+                if not label.is_integer():
                     raise FormatError(f"{path}: line {lineno}: label column is not an integer")
                 labels.append(int(label))
                 del row[label_col]

@@ -42,8 +42,6 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "FaceClosureError",
-    "PointCountError",
     "FiltrationSizeError",
     "Filtration",
     "Interval",
@@ -58,14 +56,11 @@ __all__ = [
     "betti_at",
     "betti_curve",
     "b0_curve",
-    "brute_force_betti",
-    "complex_betti",
     "barcode_to_text",
     "barcode_from_text",
     "barcode_svg",
 ]
 
-BRUTE_FORCE_POINT_GUARD = 16
 # Most simplices a filtration may hold, the unstored top dimension included.
 FILTRATION_SIZE_GUARD = 20_000_000
 # Simplex keys (see _keys) are int64: the distinct edge lengths times
@@ -77,14 +72,6 @@ DIM_COLORS = {0: "red", 1: "blue", 2: "green"}
 
 class GeometryError(ValueError):
     """Invalid point cloud or distance matrix."""
-
-
-class FaceClosureError(ValueError):
-    """Simplex list is not closed under taking faces."""
-
-
-class PointCountError(ValueError):
-    """Too many points for exhaustive enumeration."""
 
 
 class FiltrationSizeError(ValueError):
@@ -712,99 +699,6 @@ def _spanning_tree_weights(weights: np.ndarray) -> np.ndarray:
         in_tree[v] = True
         np.minimum(reach, weights[v], out=reach)
     return tree
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-# ---------------------------------------------------------------------------
-
-
-def _gf2_rank(columns: list[int]) -> int:
-    pivots: dict[int, int] = {}
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            if low not in pivots:
-                pivots[low] = col
-                break
-            col ^= pivots[low]
-    return len(pivots)
-
-
-def _clique_simplices(adj: np.ndarray, top_dim: int) -> list[list[tuple[int, ...]]]:
-    """All cliques of the adjacency graph with <= top_dim+1 vertices, by dim."""
-    n = adj.shape[0]
-    by_dim: list[list[tuple[int, ...]]] = [[(v,) for v in range(n)]]
-    for d in range(1, top_dim + 1):
-        nxt = []
-        for s in by_dim[d - 1]:
-            last = s[-1]
-            for v in range(last + 1, n):
-                if all(adj[u, v] for u in s):
-                    nxt.append(s + (v,))
-        by_dim.append(nxt)
-    return by_dim
-
-
-def _boundary_rank(faces: list[tuple[int, ...]], cofaces: list[tuple[int, ...]]) -> int:
-    index = {s: i for i, s in enumerate(faces)}
-    columns = []
-    for s in cofaces:
-        col = 0
-        for drop in range(len(s)):
-            col |= 1 << index[s[:drop] + s[drop + 1 :]]
-        columns.append(col)
-    return _gf2_rank(columns)
-
-
-def brute_force_betti(dist, dim: int, radius: float) -> int:
-    """Betti number of the clique complex at ``radius`` by rank-nullity.
-
-    The Betti numbers of every clique up to dimension dim+1, which is
-    independent of the persistence pairing and so can validate it.  Guarded
-    to small inputs.
-    """
-    arr = as_distance_matrix(dist)
-    n = arr.shape[0]
-    if n > BRUTE_FORCE_POINT_GUARD:
-        raise PointCountError(
-            f"brute-force oracle is limited to {BRUTE_FORCE_POINT_GUARD} points, got {n}"
-        )
-    adj = (arr <= radius) & ~np.eye(n, dtype=bool)
-    return _betti(_clique_simplices(adj, dim + 1))[dim]
-
-
-def _normalize_complex(simplices: Iterable[Sequence[int]]) -> list[list[tuple[int, ...]]]:
-    seen: set[tuple[int, ...]] = set()
-    for s in simplices:
-        vs = tuple(int(v) for v in s)
-        if len(vs) == 0 or list(vs) != sorted(set(vs)):
-            raise FaceClosureError(f"simplex {vs} is not a strictly increasing vertex list")
-        seen.add(vs)
-    for vs in list(seen):
-        if len(vs) > 1:
-            for drop in range(len(vs)):
-                face = vs[:drop] + vs[drop + 1 :]
-                if face not in seen:
-                    raise FaceClosureError(f"face {face} of {vs} is missing")
-    top = max(map(len, seen), default=0)
-    return [sorted(vs for vs in seen if len(vs) == k) for k in range(1, top + 1)]
-
-
-def complex_betti(simplices: Iterable[Sequence[int]]) -> list[int]:
-    """Betti numbers over Z/2 of an explicit simplicial complex.
-
-    The input must be closed under taking faces; raises FaceClosureError
-    otherwise.  Returns [b_0, ..., b_top].
-    """
-    return _betti(_normalize_complex(simplices))
-
-
-def _betti(by_dim: list[list[tuple[int, ...]]]) -> list[int]:
-    """Betti numbers by rank-nullity of a complex given as its sorted
-    simplices per dimension; each boundary rank is taken once."""
-    ranks = [0] + [_boundary_rank(a, b) for a, b in zip(by_dim, by_dim[1:])] + [0]
-    return [len(s) - ranks[d] - ranks[d + 1] for d, s in enumerate(by_dim)]
 
 
 # ---------------------------------------------------------------------------

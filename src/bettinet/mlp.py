@@ -40,7 +40,6 @@ __all__ = [
     "build_network",
     "forward",
     "train_sgd",
-    "gradient_check",
     "extract_class_activations",
     "save_checkpoint",
     "load_checkpoint",
@@ -164,6 +163,8 @@ def build_network(
     widths = [int(w) for w in widths]
     if len(widths) < 2:
         raise ValueError("need at least input and output widths")
+    if any(w < 1 for w in widths):
+        raise ValueError("all widths must be >= 1")
     rng = np.random.default_rng(seed)
     blocks = []
     for fan_in, fan_out in zip(widths[:-2], widths[1:-1]):
@@ -288,10 +289,9 @@ class TrainConfig:
     lr: float
     batch_size: int
     seed: int
-    momentum: float = 0.0
 
     def __post_init__(self):
-        for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0), ("momentum", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1), ("lr", 0)):
             value = getattr(self, name)
             if not low <= value < math.inf:
                 raise ValueError(f"{name} must be a finite number >= {low}, got {value}")
@@ -319,7 +319,7 @@ def _param_items(net: Network):
 
 
 def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
-    """SGD with optional momentum; mutates ``net`` in place.
+    """Plain SGD; mutates ``net`` in place.
 
     Deterministic given the config seed and the BLAS thread count.  Aborts
     with a diagnostic if the loss turns NaN.
@@ -328,7 +328,6 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
         raise ValueError("dataset width does not match the network input")
     rng = np.random.default_rng(config.seed)
     params = [p for _, p in _param_items(net)]
-    velocity = [np.zeros_like(p) for p in params]
     losses, accs = [], []
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
@@ -345,11 +344,9 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
                 )
             epoch_loss += loss * len(idx)
             correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
-            for p, v, grad in zip(params, velocity, grads):
-                v *= config.momentum
+            for p, grad in zip(params, grads):
                 grad *= config.lr
-                v -= grad
-                p += v
+                p -= grad
             for norm, *stats in batch_stats:
                 for running, batch in zip((norm.running_mean, norm.running_var), stats):
                     running *= 1.0 - norm.momentum
@@ -362,86 +359,6 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
 def evaluate_accuracy(net: Network, dataset: Dataset) -> float:
     _, _, probs = forward(net, dataset.features)
     return float(np.mean(probs.argmax(axis=1) == dataset.labels))
-
-
-# ---------------------------------------------------------------------------
-# gradient check
-# ---------------------------------------------------------------------------
-
-
-def _loss_only(net: Network, x: np.ndarray, y: np.ndarray, dtype=np.float64) -> float:
-    """Training-mode loss in a configurable precision.
-
-    The finite-difference probes evaluate this in extended precision:
-    batch-norm makes some losses exactly invariant to a parameter, and in
-    double precision the probe would return pure cancellation noise.
-    """
-    cur = x.astype(dtype)
-    coeffs = np.asarray(net.activation.coeffs, dtype=dtype) if net.activation.kind == "poly" else None
-    for block in net.hidden:
-        z = cur @ block.dense.weight.T.astype(dtype) + block.dense.bias.astype(dtype)
-        a = np.maximum(z, dtype(0)) if coeffs is None else np.polynomial.polynomial.polyval(z, coeffs)
-        if block.norm is not None:
-            mu = a.mean(axis=0)
-            var = ((a - mu) ** 2).mean(axis=0)
-            x_hat = (a - mu) / np.sqrt(var + dtype(block.norm.eps))
-            a = block.norm.gamma.astype(dtype) * x_hat + block.norm.beta.astype(dtype)
-        cur = a
-    logits = cur @ net.output.weight.T.astype(dtype) + net.output.bias.astype(dtype)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    picked = np.maximum(probs[np.arange(len(x)), y], np.finfo(dtype).tiny)
-    return float(-np.mean(np.log(picked)))
-
-
-def _kink_margin(net: Network, x: np.ndarray) -> float:
-    """Smallest |pre-activation| anywhere; ReLU derivative is only trusted
-    away from zero crossings."""
-    caches, _, _ = _forward_train(net, x)
-    return min((float(np.min(np.abs(z))) for _, z, *_ in caches), default=np.inf)
-
-
-def gradient_check(
-    net: Network,
-    x: np.ndarray,
-    y: np.ndarray,
-    step: float = 1e-5,
-    kink_margin: float = 1e-3,
-    seed: int = 0,
-) -> float:
-    """Max relative error between backprop and central differences.
-
-    For ReLU the batch is jittered (deterministically) until every
-    pre-activation sits at least ``kink_margin`` from zero so that the
-    finite-difference probes never cross an activation boundary.
-    """
-    x = np.array(x, dtype=np.float64)
-    y = np.asarray(y)
-    if net.activation.kind == "relu":
-        rng = np.random.default_rng(seed)
-        for attempt in range(50):
-            if _kink_margin(net, x) >= kink_margin:
-                break
-            x = x + rng.normal(scale=kink_margin * 3 * (1 + attempt), size=x.shape)
-        else:
-            raise RuntimeError("could not move the batch away from ReLU kinks")
-
-    _, grads, _, _ = _loss_and_grads(net, x, y)
-    worst = 0.0
-    for (_, param), grad in zip(_param_items(net), grads):
-        flat, gflat = param.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            lp = _loss_only(net, x, y, dtype=np.longdouble)
-            flat[i] = orig - step
-            lm = _loss_only(net, x, y, dtype=np.longdouble)
-            flat[i] = orig
-            fd = float((lp - lm) / (2 * step))
-            denom = max(abs(gflat[i]), abs(fd), 1e-8)
-            worst = max(worst, abs(gflat[i] - fd) / denom)
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -263,13 +263,19 @@ class CoverDescriptor:
     inequalities: tuple[MultiPoly, ...]
 
 
-def cover_descriptor(logits: Sequence[MultiPoly], class_j: int, alphas: Iterable[int]) -> CoverDescriptor:
+def _tie_classes(class_j: int, alphas: Iterable[int], n: int):
+    """Checked, sorted ``alphas`` and the other classes, which class j must dominate."""
+    if not 0 <= class_j < n:
+        raise ValueError(f"class_j must be in 0..{n - 1}, got {class_j}")
     alphas = tuple(sorted(set(int(a) for a in alphas)))
-    n = len(logits)
-    if class_j in alphas or any(not 0 <= a < n for a in alphas) or not alphas:
+    if class_j in alphas or not alphas or any(not 0 <= a < n for a in alphas):
         raise ValueError("alphas must be a nonempty set of class indices distinct from class_j")
+    return alphas, [q for q in range(n) if q != class_j and q not in alphas]
+
+
+def cover_descriptor(logits: Sequence[MultiPoly], class_j: int, alphas: Iterable[int]) -> CoverDescriptor:
+    alphas, others = _tie_classes(class_j, alphas, len(logits))
     eqs = tuple(logits[class_j] - logits[a] for a in alphas)
-    others = [q for q in range(n) if q != class_j and q not in alphas]
     ineqs = tuple(logits[class_j] - logits[q] for q in others)
     return CoverDescriptor(class_j=class_j, alphas=alphas, equalities=eqs, inequalities=ineqs)
 
@@ -444,10 +450,7 @@ def solve_relu_boundary(
     """
     if net.activation.kind != "relu":
         raise ValueError("boundary solve requires a ReLU network")
-    alphas = tuple(sorted(set(int(a) for a in alphas)))
-    n = net.n_classes
-    if class_j in alphas or not alphas or any(not 0 <= a < n for a in alphas):
-        raise ValueError("alphas must be a nonempty set of class indices distinct from class_j")
+    alphas, others = _tie_classes(class_j, alphas, net.n_classes)
     depth = net.depth
     if not 1 <= layer <= depth - 1:
         raise ValueError(f"layer must be in 1..{depth - 1}")
@@ -500,7 +503,6 @@ def solve_relu_boundary(
     positivity_offset = np.concatenate(pos_offs) if pos_offs else np.zeros(0)
 
     last = solves[0]
-    others = [q for q in range(n) if q != class_j and q not in alphas]
     res_rows, res_offs = [], []
     for q in others:
         row = w_out[class_j] - w_out[q]

@@ -8,7 +8,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bettinet.homology import complex_betti
+from persistence_oracle import complex_betti
 
 
 def random_complex(rng: np.random.Generator, max_vertices: int = 7) -> list[tuple[int, ...]]:

@@ -1,14 +1,26 @@
 """Explicit simplex lists, boundary matrices and the plain column reduction:
 the reference that ``homology.compute_persistence`` is checked against on
-small inputs.  Quadratic and allocation-heavy by design."""
+small inputs, and Betti numbers by rank-nullity from the same reduction.
+Quadratic and allocation-heavy by design."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from bettinet import homology as H
+
+BRUTE_FORCE_POINT_GUARD = 16
+
+
+class FaceClosureError(ValueError):
+    """Simplex list is not closed under taking faces."""
+
+
+class PointCountError(ValueError):
+    """Too many points for exhaustive enumeration."""
 
 
 @dataclass(frozen=True)
@@ -83,28 +95,26 @@ def boundary_matrix(filt: H.Filtration) -> BoundaryMatrix:
     )
 
 
-def _pair_of_row(matrix: BoundaryMatrix) -> dict[int, int]:
-    """Plain left-to-right column reduction: for each row that is some
-    column's pivot, that column."""
-    m = len(matrix.columns)
-    cols = [0] * m
-    for j, faces in enumerate(matrix.columns):
-        c = 0
-        for f in faces:
-            c |= 1 << f
-        cols[j] = c
+def _reduce(columns: list[int]) -> dict[int, int]:
+    """Plain left-to-right reduction of Z/2 columns, bit i of a column set
+    for row i: for each row that is some column's pivot, that column.  The
+    rank is the number of pivots."""
+    reduced = list(columns)
     pair_of_row: dict[int, int] = {}
-    for j in range(m):
-        col = cols[j]
+    for j, col in enumerate(reduced):
         while col:
             low = col.bit_length() - 1
             if low in pair_of_row:
-                col ^= cols[pair_of_row[low]]
+                col ^= reduced[pair_of_row[low]]
             else:
                 pair_of_row[low] = j
                 break
-        cols[j] = col
+        reduced[j] = col
     return pair_of_row
+
+
+def _pair_of_row(matrix: BoundaryMatrix) -> dict[int, int]:
+    return _reduce([sum(1 << f for f in faces) for faces in matrix.columns])
 
 
 def killing_simplices(filt: H.Filtration, d: int) -> list[tuple[int, ...]]:
@@ -142,3 +152,79 @@ def reference_persistence(filt: H.Filtration) -> H.Barcode:
         max_radius=filt.max_radius,
         report_dims=range(filt.max_dim + 1),
     )
+
+
+# ---------------------------------------------------------------------------
+# Betti numbers by rank-nullity, independent of any persistence pairing
+# ---------------------------------------------------------------------------
+
+
+def _clique_simplices(adj: np.ndarray, top_dim: int) -> list[list[tuple[int, ...]]]:
+    """All cliques of the adjacency graph with <= top_dim+1 vertices, by dim."""
+    n = adj.shape[0]
+    by_dim: list[list[tuple[int, ...]]] = [[(v,) for v in range(n)]]
+    for d in range(1, top_dim + 1):
+        nxt = []
+        for s in by_dim[d - 1]:
+            last = s[-1]
+            for v in range(last + 1, n):
+                if all(adj[u, v] for u in s):
+                    nxt.append(s + (v,))
+        by_dim.append(nxt)
+    return by_dim
+
+
+def _boundary_rank(faces: list[tuple[int, ...]], cofaces: list[tuple[int, ...]]) -> int:
+    index = {s: i for i, s in enumerate(faces)}
+    columns = [sum(1 << index[s[:drop] + s[drop + 1 :]] for drop in range(len(s))) for s in cofaces]
+    return len(_reduce(columns))
+
+
+def _betti(by_dim: list[list[tuple[int, ...]]]) -> list[int]:
+    """Betti numbers by rank-nullity of a complex given as its sorted
+    simplices per dimension; each boundary rank is taken once."""
+    ranks = [0] + [_boundary_rank(a, b) for a, b in zip(by_dim, by_dim[1:])] + [0]
+    return [len(s) - ranks[d] - ranks[d + 1] for d, s in enumerate(by_dim)]
+
+
+def brute_force_betti(dist, dim: int, radius: float) -> int:
+    """Betti number of the clique complex at ``radius`` by rank-nullity.
+
+    The Betti numbers of every clique up to dimension dim+1, which is
+    independent of the persistence pairing and so can validate it.  Guarded
+    to small inputs.
+    """
+    arr = H.as_distance_matrix(dist)
+    n = arr.shape[0]
+    if n > BRUTE_FORCE_POINT_GUARD:
+        raise PointCountError(
+            f"brute-force oracle is limited to {BRUTE_FORCE_POINT_GUARD} points, got {n}"
+        )
+    adj = (arr <= radius) & ~np.eye(n, dtype=bool)
+    return _betti(_clique_simplices(adj, dim + 1))[dim]
+
+
+def _normalize_complex(simplices: Iterable[Sequence[int]]) -> list[list[tuple[int, ...]]]:
+    seen: set[tuple[int, ...]] = set()
+    for s in simplices:
+        vs = tuple(int(v) for v in s)
+        if len(vs) == 0 or list(vs) != sorted(set(vs)):
+            raise FaceClosureError(f"simplex {vs} is not a strictly increasing vertex list")
+        seen.add(vs)
+    for vs in list(seen):
+        if len(vs) > 1:
+            for drop in range(len(vs)):
+                face = vs[:drop] + vs[drop + 1 :]
+                if face not in seen:
+                    raise FaceClosureError(f"face {face} of {vs} is missing")
+    top = max(map(len, seen), default=0)
+    return [sorted(vs for vs in seen if len(vs) == k) for k in range(1, top + 1)]
+
+
+def complex_betti(simplices: Iterable[Sequence[int]]) -> list[int]:
+    """Betti numbers over Z/2 of an explicit simplicial complex.
+
+    The input must be closed under taking faces; raises FaceClosureError
+    otherwise.  Returns [b_0, ..., b_top].
+    """
+    return _betti(_normalize_complex(simplices))

@@ -1,7 +1,9 @@
 """The dict-based SGD step that ``mlp.train_sgd`` is checked against bit for
 bit: numpy's ``mean``/``var``, per-layer cache dicts, gradients keyed by
 parameter name, every layer's input gradient computed.  Kept as written
-before the trainer was trimmed; slow by design."""
+before the trainer was trimmed; slow by design.  Its forward pass also
+gives the extended-precision loss that ``gradient_check`` compares the
+trainer's backprop against."""
 
 from __future__ import annotations
 
@@ -69,20 +71,8 @@ def loss_and_grads(net: mlp.Network, x: np.ndarray, y: np.ndarray):
     return loss, grads, batch_stats, probs
 
 
-def param_items(net: mlp.Network):
-    for idx, block in enumerate(net.hidden):
-        yield f"hidden.{idx}.weight", block.dense.weight
-        yield f"hidden.{idx}.bias", block.dense.bias
-        if block.norm is not None:
-            yield f"hidden.{idx}.gamma", block.norm.gamma
-            yield f"hidden.{idx}.beta", block.norm.beta
-    yield "output.weight", net.output.weight
-    yield "output.bias", net.output.bias
-
-
 def train_sgd(net: mlp.Network, dataset, config: mlp.TrainConfig) -> mlp.TrainLog:
     rng = np.random.default_rng(config.seed)
-    velocity = {name: np.zeros_like(p) for name, p in param_items(net)}
     losses, accs = [], []
     for epoch in range(config.epochs):
         order = rng.permutation(len(dataset))
@@ -99,12 +89,9 @@ def train_sgd(net: mlp.Network, dataset, config: mlp.TrainConfig) -> mlp.TrainLo
                 )
             epoch_loss += loss * len(idx)
             correct += int(np.sum(probs.argmax(axis=1) == y))
-            params = dict(param_items(net))
+            params = dict(mlp._param_items(net))
             for name, grad in grads.items():
-                v = velocity[name]
-                v *= config.momentum
-                v -= config.lr * grad
-                params[name] += v
+                params[name] -= config.lr * grad
             for layer_idx, mu, var in batch_stats:
                 norm = net.hidden[layer_idx].norm
                 m = norm.momentum
@@ -115,3 +102,65 @@ def train_sgd(net: mlp.Network, dataset, config: mlp.TrainConfig) -> mlp.TrainLo
         losses.append(epoch_loss / len(dataset))
         accs.append(correct / len(dataset))
     return mlp.TrainLog(epoch_losses=tuple(losses), epoch_accuracies=tuple(accs))
+
+
+def _kink_margin(net: mlp.Network, x: np.ndarray) -> float:
+    """Smallest |pre-activation| anywhere; ReLU derivative is only trusted
+    away from zero crossings."""
+    caches, _, _ = forward_train(net, x)
+    return min((float(np.min(np.abs(c["z"]))) for c in caches), default=np.inf)
+
+
+def _loss(net: mlp.Network, x: np.ndarray, y: np.ndarray):
+    """Training-mode loss in the precision of ``x``; float64 parameters are
+    promoted to it."""
+    _, _, logits = forward_train(net, x)
+    probs = _softmax(logits)
+    picked = np.maximum(probs[np.arange(len(x)), y], np.finfo(x.dtype).tiny)
+    return -np.mean(np.log(picked))
+
+
+def gradient_check(
+    net: mlp.Network,
+    x: np.ndarray,
+    y: np.ndarray,
+    step: float = 1e-5,
+    kink_margin: float = 1e-3,
+    seed: int = 0,
+) -> float:
+    """Max relative error between ``mlp``'s backprop and central differences.
+
+    For ReLU the batch is jittered (deterministically) until every
+    pre-activation sits at least ``kink_margin`` from zero so that the
+    finite-difference probes never cross an activation boundary.  The
+    probes run in extended precision: batch norm makes some losses exactly
+    invariant to a parameter, and in double precision the probe would
+    return pure cancellation noise.
+    """
+    x = np.array(x, dtype=np.float64)
+    y = np.asarray(y)
+    if net.activation.kind == "relu":
+        rng = np.random.default_rng(seed)
+        for attempt in range(50):
+            if _kink_margin(net, x) >= kink_margin:
+                break
+            x = x + rng.normal(scale=kink_margin * 3 * (1 + attempt), size=x.shape)
+        else:
+            raise RuntimeError("could not move the batch away from ReLU kinks")
+
+    _, grads, _, _ = mlp._loss_and_grads(net, x, y)
+    x_long = x.astype(np.longdouble)
+    worst = 0.0
+    for (_, param), grad in zip(mlp._param_items(net), grads):
+        flat, gflat = param.reshape(-1), grad.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            lp = _loss(net, x_long, y)
+            flat[i] = orig - step
+            lm = _loss(net, x_long, y)
+            flat[i] = orig
+            fd = float((lp - lm) / (2 * step))
+            denom = max(abs(gflat[i]), abs(fd), 1e-8)
+            worst = max(worst, abs(gflat[i] - fd) / denom)
+    return worst

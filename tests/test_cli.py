@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -463,3 +464,45 @@ def test_sweep_without_test_data_parses_the_csv_once(tmp_path, capsys, monkeypat
     assert loaded == [csv] * 3
     implicit = (tmp_path / "implicit" / "sweep.csv").read_bytes()
     assert implicit == (tmp_path / "explicit" / "sweep.csv").read_bytes()
+
+
+_BOUNDS = "bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 10 --free-layer"
+_COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (f"{_BOUNDS} 7", 1, "layer must be in 1..2, got 7"),
+        (f"{_BOUNDS} -1", 1, "layer must be in 1..2, got -1"),
+        (f"{_COVER} 9", 1, "class_j must be in 0..2, got 9"),
+        (f"{_COVER} -1", 1, "class_j must be in 0..2, got -1"),
+        ("train --data IDX --widths 0 --epochs 1", 1, "all widths must be >= 1"),
+        ("sweep --data IDX --widths 0 --seeds 1 --epochs 1", 1, "all widths must be >= 1"),
+        ("homology --points FOUR_COLUMNS --label-col 7", 1, "line 1: no label column 7 in 4 columns"),
+        ("homology --points INF_LABEL --label-col 2", 1, "line 2: label column is not an integer"),
+        ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --threshold nan", 2,
+         "argument --threshold: expected a finite number >= 0"),
+    ],
+    ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
+         "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan"],
+)
+def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
+    files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
+             "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv"}
+    mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
+    files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
+    files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
+    argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        rc = exc.code
+    except Exception:
+        traceback.print_exc()  # what the console would show
+        rc = None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert rc == code
+    assert err.startswith("error: " if code == 1 else "usage: ")
+    assert message in err
