@@ -1,3 +1,9 @@
 """Topological complexity measurement for datasets and dense-network layers."""
 
 __version__ = "0.1.0"
+
+# Per-class sample cap and b0 collapse threshold of ``analyze`` and
+# ``sweep``.  ``advisor`` re-exports them; they live here so that the CLI
+# parser reads them without loading the trainer.
+DEFAULT_CLASS_CAP = 200
+DEFAULT_THRESHOLD = 0.5

@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD
 from .data import Dataset
 from .homology import Barcode, b0_curve, betti_curve, pairwise_distances, rips_persistence
 from .mlp import (
@@ -59,8 +60,6 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MIN_RADIUS = 1e-3
-DEFAULT_CLASS_CAP = 200
-DEFAULT_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)

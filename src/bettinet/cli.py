@@ -11,6 +11,10 @@ randomness funnels through explicit ``--seed`` flags.
 
 Exit codes: 0 on success (including mathematically empty results), 1 on
 runtime failure, 2 on usage errors.
+
+Each command imports only the layers it runs, so a short ``homology`` or
+``bounds`` run does not load the trainer, the cover solver or the process
+pool.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-
-from . import advisor, bounds, data, homology, mlp, semialgebraic
+from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD, data
 
 __all__ = ["main", "build_parser"]
 
@@ -88,7 +91,9 @@ def _load_test_dataset(args, train_ds: data.Dataset) -> data.Dataset:
     return train_ds
 
 
-def _activation_from_args(args) -> mlp.ActivationFn:
+def _activation_from_args(args):
+    from . import mlp
+
     if args.act == "relu":
         return mlp.relu_activation()
     coeffs = [0.0] * (args.degree + 1)
@@ -102,6 +107,8 @@ def _activation_from_args(args) -> mlp.ActivationFn:
 
 
 def cmd_bounds(args, out: Path) -> int:
+    from . import bounds
+
     widths = tuple(args.widths) + (args.classes,)
     activation = bounds.Activation(args.act, args.degree)
     arch = bounds.ArchitectureSpec(widths=widths, activation=activation)
@@ -118,6 +125,8 @@ def cmd_bounds(args, out: Path) -> int:
 
 
 def cmd_homology(args, out: Path) -> int:
+    from . import homology
+
     points, _ = data.load_csv_points(args.points, label_col=args.label_col)
     dist = homology.pairwise_distances(points)
     barcode = homology.rips_persistence(dist, max_dim=args.max_dim, max_radius=args.max_radius)
@@ -129,6 +138,8 @@ def cmd_homology(args, out: Path) -> int:
 
 
 def cmd_train(args, out: Path) -> int:
+    from . import mlp
+
     dataset = _load_dataset(args.data, args.label_col)
     shape = [dataset.dim] + list(args.widths) + [dataset.n_classes]
     net = mlp.build_network(
@@ -148,7 +159,9 @@ def cmd_train(args, out: Path) -> int:
     return 0
 
 
-def _write_profile_files(out: Path, tag: str, profile: advisor.ClassProfile):
+def _write_profile_files(out: Path, tag: str, profile):
+    from . import homology
+
     for cid in profile.class_ids():
         curves = profile.curves[cid]
         rows = ["radius,b0,b1"] + [
@@ -159,6 +172,8 @@ def _write_profile_files(out: Path, tag: str, profile: advisor.ClassProfile):
 
 
 def cmd_analyze(args, out: Path) -> int:
+    from . import advisor, mlp
+
     dataset = _load_dataset(args.data, args.label_col)
     net = mlp.load_checkpoint(args.checkpoint)
     inp = advisor.input_profile(
@@ -178,6 +193,8 @@ def cmd_analyze(args, out: Path) -> int:
 
 
 def cmd_sweep(args, out: Path) -> int:
+    from . import advisor
+
     train_ds = _load_dataset(args.data, args.label_col)
     test_ds = _load_test_dataset(args, train_ds)
     result = advisor.width_sweep(
@@ -199,6 +216,8 @@ def cmd_sweep(args, out: Path) -> int:
 
 
 def cmd_cover(args, out: Path) -> int:
+    from . import mlp, semialgebraic
+
     net = mlp.load_checkpoint(args.checkpoint)
     report = semialgebraic.cover_report(
         net,
@@ -269,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--cap", type=int, default=advisor.DEFAULT_CLASS_CAP)
-    p.add_argument("--threshold", type=_finite_nonnegative, default=advisor.DEFAULT_THRESHOLD)
+    p.add_argument("--cap", type=int, default=DEFAULT_CLASS_CAP)
+    p.add_argument("--threshold", type=_finite_nonnegative, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
 
@@ -281,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_parse_int_list, required=True)
     add_training_flags(p)
     p.add_argument("--layer", type=int, default=None)
-    p.add_argument("--cap", type=int, default=advisor.DEFAULT_CLASS_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_CLASS_CAP)
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="no effect: sweep computes only b0, serially"
     )
@@ -306,6 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _user_errors():
+    """The errors that bad input or a diverging run raise: ``main`` prints
+    them as one line and exits 1.  Evaluated only when an error reaches
+    ``main``, so commands that never train do not load ``mlp``."""
+    from .mlp import TrainingDivergedError
+
+    return (ValueError, FileNotFoundError, TrainingDivergedError)
+
+
 def main(argv=None) -> int:
     """Parse ``argv``, make ``--out``, write its ``config.echo`` and run the
     command; returns the exit code."""
@@ -315,12 +343,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_config_echo(out, args)
         return args.func(args, out)
-    except (
-        ValueError,
-        FileNotFoundError,
-        data.FormatError,
-        mlp.TrainingDivergedError,
-    ) as exc:
+    except _user_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

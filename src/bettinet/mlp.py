@@ -446,13 +446,20 @@ def _load_dense(doc, where: str, fan_in: Optional[int]) -> DenseLayer:
 def load_checkpoint(path) -> Network:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Raises ValueError, naming the layer, when a weight does not take the
-    width of the layer below or a bias or batch-norm vector does not match
-    its layer's width.
+    Raises ValueError, naming the file, when it is not a JSON checkpoint,
+    and naming the layer when a weight does not take the width of the layer
+    below or a bias or batch-norm vector does not match its layer's width.
     """
     with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != "bettinet-checkpoint" or doc.get("version") != CHECKPOINT_VERSION:
+        try:
+            doc = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
+    if not (
+        isinstance(doc, dict)
+        and doc.get("format") == "bettinet-checkpoint"
+        and doc.get("version") == CHECKPOINT_VERSION
+    ):
         raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} checkpoint")
     act = doc["activation"]
     activation = ActivationFn(act["kind"], tuple(act["coeffs"]))

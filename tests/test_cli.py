@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 import traceback
@@ -409,7 +410,9 @@ def test_missing_test_data_exits_1_with_a_message(idx_dir, tmp_path, capsys):
 
 def test_cli_import_and_homology_load_no_scipy(tmp_path):
     # numpy computes the distances, the persistence, the spanning tree and
-    # the cover solver's pivot columns, so no command loads scipy
+    # the cover solver's pivot columns, so no command loads scipy; and each
+    # command imports only the bettinet layers it runs, so only the two that
+    # profile classes load the process pool
     pts = tmp_path / "sq.csv"
     pts.write_text("0,0\n1,0\n1,1\n0,1\n")
     train, _ = data.make_image_dataset(40, 10, seed=3, side=4, classes=2)
@@ -417,29 +420,60 @@ def test_cli_import_and_homology_load_no_scipy(tmp_path):
     np.savetxt(labeled, np.column_stack([train.features, train.labels]), delimiter=",", fmt="%.17g")
     checkpoint = tmp_path / "relu.json"
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), checkpoint)
+    labeled_checkpoint = tmp_path / "relu16.json"
+    mlp.save_checkpoint(mlp.build_network([16, 3, 2], mlp.relu_activation(), seed=5),
+                        labeled_checkpoint)
+    base = {"bettinet", "bettinet.cli", "bettinet.data"}
+    profiling = base | {"bettinet.advisor", "bettinet.homology", "bettinet.mlp"}
+    runs = {
+        "bounds": (["--widths", "2,2", "--classes", "2", "--act", "relu"],
+                   base | {"bettinet.bounds"}),
+        "homology": (["--points", str(pts)], base | {"bettinet.homology"}),
+        "train": (["--data", str(labeled), "--widths", "2", "--epochs", "1"],
+                  base | {"bettinet.mlp"}),
+        "cover": (["--checkpoint", str(checkpoint), "--class-j", "0", "--alphas", "1,2",
+                   "--layer", "1"], base | {"bettinet.mlp", "bettinet.semialgebraic"}),
+        "analyze": (["--data", str(labeled), "--checkpoint", str(labeled_checkpoint),
+                     "--layer", "1", "--cap", "8"], profiling),
+        "sweep": (["--data", str(labeled), "--widths", "2", "--seeds", "1", "--epochs", "1",
+                   "--cap", "8"], profiling),
+    }
     src = str(Path(bettinet.__file__).resolve().parents[1])
-    runs = [
-        ["homology", "--points", str(pts), "--out", str(tmp_path / "h")],
-        ["sweep", "--data", str(labeled), "--widths", "2", "--seeds", "1", "--epochs", "1",
-         "--cap", "8", "--out", str(tmp_path / "s")],
-        ["cover", "--checkpoint", str(checkpoint), "--class-j", "0", "--alphas", "1,2",
-         "--layer", "1", "--out", str(tmp_path / "c")],
-    ]
     code = "\n".join([
-        "import contextlib, io, sys",
+        "import contextlib, io, json, sys",
         f"sys.path.insert(0, {src!r})",
         "import bettinet.cli",
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        f"for argv in {runs!r}:",
-        "    with contextlib.redirect_stdout(io.StringIO()):",
-        "        code = bettinet.cli.main(argv)",
-        "    print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "imported = sorted(sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = bettinet.cli.main(sys.argv[1:])",
+        "print(json.dumps([imported, code, sorted(sys.modules)]))",
     ])
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines() == ["[]", "0 []", "0 []", "0 []"]
-    assert (tmp_path / "h" / "barcode.txt").read_text().startswith("0,0,1\n")
-    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 1
-    assert (tmp_path / "c" / "cover.txt").read_text().startswith("boundary cover report")
+    pool_modules = {"concurrent.futures", "multiprocessing"}
+    for command, (flags, expected) in runs.items():
+        argv = [command, *flags, "--out", str(tmp_path / command)]
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, check=True)
+        imported, rc, loaded = json.loads(result.stdout)
+        assert rc == 0, command
+        for modules in (imported, loaded):
+            assert [m for m in modules if m.split(".")[0] == "scipy"] == [], command
+        assert {m for m in imported if m.split(".")[0] == "bettinet"} == base
+        assert {m for m in loaded if m.split(".")[0] == "bettinet"} == expected, command
+        assert pool_modules & set(loaded) == (pool_modules if command in ("analyze", "sweep")
+                                              else set()), command
+    assert (tmp_path / "homology" / "barcode.txt").read_text().startswith("0,0,1\n")
+    assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 1
+    assert (tmp_path / "cover" / "cover.txt").read_text().startswith("boundary cover report")
+
+
+def test_analyze_echoes_the_default_cap_and_threshold(idx_dir, idx_checkpoint, tmp_path):
+    out = tmp_path / "a"
+    argv = ["analyze", "--data", str(idx_dir), "--checkpoint", str(idx_checkpoint), "--layer", "1",
+            "--out", str(out)]
+    assert main(argv) == 0
+    echo = (out / "config.echo").read_text().splitlines()
+    assert "cap=200" in echo
+    assert "threshold=0.5" in echo
 
 
 def test_sweep_without_test_data_parses_the_csv_once(tmp_path, capsys, monkeypatch):
@@ -483,16 +517,23 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
         ("homology --points INF_LABEL --label-col 2", 1, "line 2: label column is not an integer"),
         ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --threshold nan", 2,
          "argument --threshold: expected a finite number >= 0"),
+        ("analyze --data IDX --checkpoint FOUR_COLUMNS --layer 1", 1,
+         "four.csv: not a JSON checkpoint: Extra data: line 1 column 2 (char 1)"),
+        ("cover --checkpoint JSON_LIST --alphas 1 --layer 1 --class-j 0", 1,
+         "list.json: not a version-1 checkpoint"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
-         "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan"],
+         "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
+         "checkpoint-json-list"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
-             "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv"}
+             "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv",
+             "JSON_LIST": tmp_path / "list.json"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
+    files["JSON_LIST"].write_text("[1, 2]\n")
     argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
     try:
         rc = main(argv)
