@@ -130,7 +130,7 @@ def _profile_clouds(
 
 def _profiled_classes(dataset: Dataset, per_class_cap: int) -> list[int]:
     """Return the classes with at least two points; the others are skipped
-    with a warning."""
+    with a warning, and a dataset with no such class raises ValueError."""
     if per_class_cap < 2:
         raise ValueError("per_class_cap must be >= 2")
     classes = []
@@ -140,6 +140,8 @@ def _profiled_classes(dataset: Dataset, per_class_cap: int) -> list[int]:
             warnings.warn(f"class {c} has {size} point(s); skipped", stacklevel=3)
             continue
         classes.append(c)
+    if not classes:
+        raise ValueError("no class has two points to profile")
     return classes
 
 

@@ -6,8 +6,10 @@ topology profiling of image or CSV datasets), ``cover`` (ReLU boundary
 cover verification).
 
 Every run writes a ``config.echo`` file (key=value, one per line) into its
-output directory so results are reproducible from the echo alone.  All
-randomness funnels through explicit ``--seed`` flags.
+output directory, and all randomness funnels through explicit ``--seed``
+flags, so the echo alone reproduces a run on the same machine.  Trained
+weights also depend on the BLAS thread count, so ``train``, ``analyze`` and
+``sweep`` results repeat only under the same BLAS threading.
 
 Exit codes: 0 on success (including mathematically empty results), 1 on
 runtime failure, 2 on usage errors.
@@ -263,8 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homology", help="barcode of a CSV point cloud")
     p.add_argument("--points", required=True)
     p.add_argument("--label-col", type=int, default=None, help="column to drop as labels")
-    p.add_argument("--max-dim", type=int, default=1)
-    p.add_argument("--max-radius", type=float, default=None)
+    p.add_argument("--max-dim", type=_checked(int, lambda d: d in (0, 1, 2), "0, 1 or 2"),
+                   default=1)
+    p.add_argument("--max-radius", type=_checked(float, lambda r: r > 0, "a number > 0"),
+                   default=None)
 
     def add_data_flags(p):
         p.add_argument("--data", required=True, help="IDX directory or CSV file")

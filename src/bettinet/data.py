@@ -23,6 +23,10 @@ __all__ = [
     "make_image_dataset",
 ]
 
+# CSV class labels must lie in 0..MAX_CLASSES-1: the label range sets the
+# width of a network's output layer and the number of classes profiled
+MAX_CLASSES = 1000
+
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
@@ -159,16 +163,18 @@ def load_idx_dataset(directory, split: str = "train") -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def load_csv_points(path, label_col: int | None = None):
+def load_csv_points(path, label_col: int | None = None, class_limit: int | None = None):
     """Comma-separated float rows; returns (points, labels-or-None).
 
     Malformed rows raise FormatError naming the 1-based line number;
     ``label_col`` selects a column (negative indices allowed) holding class
-    ids, removed from the coordinates.
+    ids, removed from the coordinates.  A label outside 0..class_limit-1,
+    or without ``class_limit`` outside int64, is malformed too.
     """
     points = []
     labels = []
     width = None
+    low, high = (0, class_limit) if class_limit is not None else (-(2**63), 2**63)
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.strip()
@@ -189,6 +195,8 @@ def load_csv_points(path, label_col: int | None = None):
                 label = row[label_col]
                 if not label.is_integer():
                     raise FormatError(f"{path}: line {lineno}: label column is not an integer")
+                if not low <= label < high:
+                    raise FormatError(f"{path}: line {lineno}: label {label:.0f} is outside {low}..{high - 1}")
                 labels.append(int(label))
                 del row[label_col]
             points.append(row)
@@ -198,7 +206,9 @@ def load_csv_points(path, label_col: int | None = None):
 
 
 def load_csv_dataset(path, label_col: int = -1) -> Dataset:
-    feats, labels = load_csv_points(path, label_col=label_col)
+    """A labeled CSV (see ``load_csv_points``) whose labels are class ids
+    below ``MAX_CLASSES``."""
+    feats, labels = load_csv_points(path, label_col=label_col, class_limit=MAX_CLASSES)
     return Dataset(features=feats, labels=labels, n_classes=int(labels.max()) + 1)
 
 

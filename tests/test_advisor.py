@@ -52,6 +52,12 @@ def test_input_profile_skips_tiny_class_with_warning():
     assert prof.class_ids() == (0,)
 
 
+def test_profiles_without_a_class_of_two_points_raise():
+    ds = Dataset(features=np.eye(3), labels=np.arange(3), n_classes=3)
+    with pytest.warns(UserWarning), pytest.raises(ValueError, match="no class has two points"):
+        advisor.input_profile(ds)
+
+
 def test_layer_profile_untrained_net_smoke():
     ds = blobs_dataset(per_class=20)
     net = mlp.build_network([2, 4, 4, 2], mlp.relu_activation(), seed=0)

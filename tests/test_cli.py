@@ -109,6 +109,18 @@ def test_homology_command_square_9_digits(tmp_path):
     assert 'fill="red"' in svg and 'fill="blue"' in svg
 
 
+def test_homology_accepts_an_infinite_max_radius(tmp_path):
+    # past the enclosing radius the complex is a cone, so the barcode is
+    # the one the default cap gives
+    pts = tmp_path / "sq.csv"
+    pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+    for name, flags in (("inf", ["--max-radius", "inf"]), ("default", [])):
+        assert main(["homology", "--points", str(pts), *flags, "--out", str(tmp_path / name)]) == 0
+    barcode = (tmp_path / "inf" / "barcode.txt").read_text()
+    assert barcode == (tmp_path / "default" / "barcode.txt").read_text()
+    assert "max_radius=inf" in (tmp_path / "inf" / "config.echo").read_text().splitlines()
+
+
 def test_homology_malformed_and_empty_csv(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0,0\n1,zzz\n")
@@ -521,19 +533,37 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "four.csv: not a JSON checkpoint: Extra data: line 1 column 2 (char 1)"),
         ("cover --checkpoint JSON_LIST --alphas 1 --layer 1 --class-j 0", 1,
          "list.json: not a version-1 checkpoint"),
+        ("homology --points FOUR_COLUMNS --max-dim 3", 2,
+         "argument --max-dim: expected 0, 1 or 2, got '3'"),
+        ("homology --points FOUR_COLUMNS --max-dim -1", 2,
+         "argument --max-dim: expected 0, 1 or 2, got '-1'"),
+        ("homology --points FOUR_COLUMNS --max-radius 0", 2,
+         "argument --max-radius: expected a number > 0, got '0'"),
+        ("homology --points FOUR_COLUMNS --max-radius nan", 2,
+         "argument --max-radius: expected a number > 0, got 'nan'"),
+        ("sweep --data HUGE_LABEL --widths 2 --seeds 1 --epochs 1", 1,
+         "huge.csv: line 2: label 1000000000000000000 is outside 0..999"),
+        ("sweep --data SINGLETONS --test-data SINGLETONS --widths 2 --seeds 1 --epochs 1", 1,
+         "no class has two points to profile"),
+        ("analyze --data SINGLETONS --checkpoint CHECKPOINT --layer 1", 1,
+         "no class has two points to profile"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
-         "checkpoint-json-list"],
+         "checkpoint-json-list", "max-dim-3", "max-dim--1", "max-radius-0", "max-radius-nan",
+         "label-1e18", "sweep-singletons", "analyze-singletons"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
              "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv",
-             "JSON_LIST": tmp_path / "list.json"}
+             "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
+             "SINGLETONS": tmp_path / "singletons.csv"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
     files["JSON_LIST"].write_text("[1, 2]\n")
+    files["HUGE_LABEL"].write_text("0,0,0\n1,1,1e18\n2,0,1\n")
+    files["SINGLETONS"].write_text("0,0,0\n1,1,1\n2,0,2\n")
     argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
     try:
         rc = main(argv)

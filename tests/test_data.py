@@ -63,6 +63,23 @@ def test_csv_error_names_line_number(tmp_path):
         data.load_csv_points(q)
 
 
+def test_csv_labels_are_class_ids_below_the_limit(tmp_path):
+    top = data.MAX_CLASSES - 1
+    p = tmp_path / "top.csv"
+    p.write_text(f"0.5,0\n1.5,{top}\n")
+    assert data.load_csv_dataset(p).n_classes == data.MAX_CLASSES
+    for label in (data.MAX_CLASSES, -1, "1e30"):
+        q = tmp_path / "over.csv"
+        q.write_text(f"0.5,0\n\n1.5,{label}\n")
+        with pytest.raises(data.FormatError, match=f"line 3: label .* is outside 0..{top}$"):
+            data.load_csv_dataset(q)
+    # without a class limit a label is any int64
+    assert data.load_csv_points(p, label_col=-1)[1].tolist() == [0, top]
+    q.write_text("0.5,-1\n1.5,1e30\n")
+    with pytest.raises(data.FormatError, match="line 2: label .* is outside -9223372036854775808"):
+        data.load_csv_points(q, label_col=-1)
+
+
 def test_csv_empty_file(tmp_path):
     p = tmp_path / "empty.csv"
     p.write_text("")
