@@ -315,6 +315,9 @@ def width_sweep(
         layer = hidden_layers
     if not 1 <= layer <= hidden_layers:
         raise ValueError(f"layer must be in 1..{hidden_layers}, got {layer}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # each row's layer_profile warns of skipped classes
+        _profiled_classes(train_dataset, per_class_cap)  # fail before any training
     rows = []
     for width in widths:
         for seed in seeds:

@@ -512,6 +512,20 @@ def test_sweep_without_test_data_parses_the_csv_once(tmp_path, capsys, monkeypat
     assert implicit == (tmp_path / "explicit" / "sweep.csv").read_bytes()
 
 
+def test_sweep_checks_the_classes_before_training(tmp_path, capsys, monkeypatch):
+    from bettinet import advisor
+
+    csv = tmp_path / "singletons.csv"
+    csv.write_text("0,0,0\n1,1,1\n2,0,2\n")
+    trained = []
+    monkeypatch.setattr(advisor, "train_sgd", lambda *args: trained.append(args))
+    argv = ["sweep", "--data", str(csv), "--test-data", str(csv), "--widths", "2,4", "--seeds",
+            "1", "--epochs", "1", "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert trained == []
+    assert capsys.readouterr().err == "error: no class has two points to profile\n"
+
+
 _BOUNDS = "bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 10 --free-layer"
 _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
 
