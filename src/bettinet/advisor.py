@@ -41,7 +41,7 @@ from .mlp import (
     build_network,
     evaluate_accuracy,
     extract_class_activations,
-    train_sgd,
+    train_sgd_stack,
 )
 
 __all__ = [
@@ -302,7 +302,11 @@ def width_sweep(
     """Train an equal-width net per (width, seed), evaluate accuracy and
     the max-over-classes b0 at minimum radius of the chosen layer.
 
-    Row profiles hold b0 only (``max_dim=0``).
+    The nets of one width train together, one per seed, in one
+    ``train_sgd_stack`` call; each ends with the weights ``train_sgd`` gives
+    it alone, so no row depends on the other seeds of the sweep.  Rows are
+    then evaluated and profiled in (width, seed) order.  Row profiles hold
+    b0 only (``max_dim=0``).
 
     A diverging training run is recorded with its error and the sweep
     continues.  Deterministic given the seed list.
@@ -320,13 +324,14 @@ def width_sweep(
         _profiled_classes(train_dataset, per_class_cap)  # fail before any training
     rows = []
     for width in widths:
-        for seed in seeds:
-            shape = [train_dataset.dim] + [int(width)] * hidden_layers + [train_dataset.n_classes]
-            net = build_network(shape, activation, seed=seed, batch_norm=True)
-            config = TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed)
-            try:
-                train_sgd(net, train_dataset, config)
-            except TrainingDivergedError as exc:
+        shape = [train_dataset.dim] + [int(width)] * hidden_layers + [train_dataset.n_classes]
+        nets = [build_network(shape, activation, seed=seed, batch_norm=True) for seed in seeds]
+        configs = [
+            TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed) for seed in seeds
+        ]
+        outcomes = train_sgd_stack(nets, train_dataset, configs)
+        for seed, net, outcome in zip(seeds, nets, outcomes):
+            if isinstance(outcome, TrainingDivergedError):
                 rows.append(
                     SweepRow(
                         width=int(width),
@@ -334,7 +339,7 @@ def width_sweep(
                         accuracy=float("nan"),
                         max_b0_min_radius=0,
                         profile=None,
-                        error=str(exc),
+                        error=str(outcome),
                     )
                 )
                 continue

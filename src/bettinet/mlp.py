@@ -10,6 +10,9 @@ function of the patterns and repeated extractions agree bit for bit.
 
 Training is deterministic given its seed and the BLAS thread count: BLAS
 may split a product differently across threads and round it differently.
+It does not depend on stacking: ``train_sgd_stack`` trains same-shape nets
+in lockstep, paying numpy's per-call cost once per step for all of them,
+and leaves each with the weights ``train_sgd`` (a stack of one) gives it.
 Forward passes and extraction on a frozen network may run concurrently.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "build_network",
     "forward",
     "train_sgd",
+    "train_sgd_stack",
     "extract_class_activations",
     "save_checkpoint",
     "load_checkpoint",
@@ -193,9 +197,9 @@ def build_network(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
@@ -220,67 +224,91 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
     return activations, logits, _softmax(logits)
 
 
-def _forward_train(net: Network, x: np.ndarray):
-    """Training-mode pass using batch statistics; caches (x_in, z, mu, var,
-    inv, x_hat) per hidden block for backprop, the last four None without
-    batch norm."""
-    n = len(x)
+def _batch_sum(a: np.ndarray) -> np.ndarray:
+    # along the batch axis of an (S, B, n) stack, in the order numpy sums
+    # axis 0 of one net's (B, n) array
+    return np.add.reduce(a, 1, keepdims=True)
+
+
+def _blocks(params, eps):
+    """Split a stack's parameters (``_param_items`` order) into
+    (weight, bias, gamma, beta, eps) per hidden block, gamma and beta None
+    without batch norm, and the output layer's (weight, bias)."""
+    rest = iter(params)
+    blocks = []
+    for block_eps in eps:
+        weight, bias = next(rest), next(rest)
+        gamma, beta = (next(rest), next(rest)) if block_eps is not None else (None, None)
+        blocks.append((weight, bias, gamma, beta, block_eps))
+    return blocks, tuple(rest)
+
+
+def _forward_train(blocks, output, activation: ActivationFn, x: np.ndarray):
+    """Training-mode pass of a stack of nets on ``x`` of shape (S, B, n_0),
+    using batch statistics; caches (x_in, z, mu, var, inv, x_hat) per hidden
+    block for backprop, the last four None without batch norm."""
+    n = x.shape[1]
     caches = []
-    for block in net.hidden:
-        z = x @ block.dense.weight.T + block.dense.bias
-        a = net.activation(z)
-        norm = block.norm
-        if norm is None:
+    for weight, bias, gamma, beta, eps in blocks:
+        z = x @ weight.transpose(0, 2, 1) + bias
+        a = activation(z)
+        if eps is None:
             caches.append((x, z, None, None, None, None))
             x = a
             continue
         # the operations numpy's mean and var run, without their wrappers
-        mu = np.add.reduce(a, 0) / n
+        mu = _batch_sum(a) / n
         d = a - mu
-        var = np.add.reduce(d * d, 0) / n
-        inv = 1.0 / np.sqrt(var + norm.eps)
+        var = _batch_sum(d * d) / n
+        inv = 1.0 / np.sqrt(var + eps)
         x_hat = d * inv
         caches.append((x, z, mu, var, inv, x_hat))
-        x = norm.gamma * x_hat + norm.beta
-    logits = x @ net.output.weight.T + net.output.bias
+        x = gamma * x_hat + beta
+    weight, bias = output
+    logits = x @ weight.transpose(0, 2, 1) + bias
     return caches, x, logits
 
 
-def _loss_and_grads(net: Network, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy and parameter gradients (training-mode forward).
+def _loss_and_grads(params, eps, activation: ActivationFn, x: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of each net of a stack, and parameter gradients
+    (training-mode forward).
 
-    ``grads`` follow ``_param_items`` order.  Pure: the network is not
-    modified; (BatchNorm, mu, var) per normalized block are returned so the
+    ``params`` are the stacked parameters in ``_param_items`` order: weights
+    (S, out, in), vectors (S, 1, n).  ``eps[k]`` is hidden block k's
+    batch-norm epsilon, None without batch norm.  ``x`` is (S, B, n_0) and
+    ``y`` (S, B).  ``grads`` are stacked like ``params``.  Pure: nothing is
+    modified; the batch mean and variance of each normalized block are
+    returned, in the order of ``_net_arrays``'s running statistics, so the
     caller can fold them into the running estimates.
     """
-    n = len(x)
-    caches, last, logits = _forward_train(net, x)
+    n = x.shape[1]
+    blocks, output = _blocks(params, eps)
+    caches, last, logits = _forward_train(blocks, output, activation, x)
     probs = _softmax(logits)
-    rows = np.arange(n)
-    loss = -float(np.add.reduce(np.log(probs[rows, y] + 1e-300)) / n)
+    picked = (np.arange(len(x))[:, None], np.arange(n), y)
+    losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), 1) / n)
 
     dlogits = probs.copy()
-    dlogits[rows, y] -= 1.0
+    dlogits[picked] -= 1.0
     dlogits /= n
 
     # built back to front, reversed into _param_items order at the end
-    grads = [np.add.reduce(dlogits, 0), dlogits.T @ last]
-    g = dlogits @ net.output.weight
-    batch_stats = []
-    for idx in range(len(net.hidden) - 1, -1, -1):
-        block = net.hidden[idx]
-        x_in, z, mu, var, inv, x_hat = caches[idx]
-        if block.norm is not None:
-            grads += [np.add.reduce(g, 0), np.add.reduce(g * x_hat, 0)]
-            dxhat = g * block.norm.gamma
-            g = inv * (dxhat - np.add.reduce(dxhat, 0) / n - x_hat * (np.add.reduce(dxhat * x_hat, 0) / n))
-            batch_stats.append((block.norm, mu, var))
-        dz = g * net.activation.grad(z)
-        grads += [np.add.reduce(dz, 0), dz.T @ x_in]
+    grads = [_batch_sum(dlogits), dlogits.transpose(0, 2, 1) @ last]
+    g = dlogits @ output[0]
+    for idx in range(len(blocks) - 1, -1, -1):
+        weight, _, gamma, _, block_eps = blocks[idx]
+        x_in, z, _, _, inv, x_hat = caches[idx]
+        if block_eps is not None:
+            grads += [_batch_sum(g), _batch_sum(g * x_hat)]
+            dxhat = g * gamma
+            g = inv * (dxhat - _batch_sum(dxhat) / n - x_hat * (_batch_sum(dxhat * x_hat) / n))
+        dz = g * activation.grad(z)
+        grads += [_batch_sum(dz), dz.transpose(0, 2, 1) @ x_in]
         if idx:  # nothing reads the gradient of the input itself
-            g = dz @ block.dense.weight
+            g = dz @ weight
     grads.reverse()
-    return loss, grads, batch_stats, probs
+    batch_stats = [stat for cache in caches if cache[2] is not None for stat in cache[2:4]]
+    return losses, grads, batch_stats, probs
 
 
 @dataclass(frozen=True)
@@ -318,42 +346,134 @@ def _param_items(net: Network):
     yield "output.bias", net.output.bias
 
 
+def _net_arrays(net: Network) -> list[np.ndarray]:
+    """A net's parameters in ``_param_items`` order, then the running mean
+    and variance of each normalized block."""
+    arrays = [p for _, p in _param_items(net)]
+    for block in net.hidden:
+        if block.norm is not None:
+            arrays += [block.norm.running_mean, block.norm.running_var]
+    return arrays
+
+
+def _layout(net: Network):
+    """What nets trained in one stack must share."""
+    norms = tuple(
+        None if block.norm is None else (block.norm.eps, block.norm.momentum)
+        for block in net.hidden
+    )
+    return net.widths, net.activation, norms
+
+
+def train_sgd_stack(
+    nets: Sequence[Network], dataset: Dataset, configs: Sequence[TrainConfig]
+) -> list[Union[TrainLog, TrainingDivergedError]]:
+    """Plain SGD on same-shape nets in lockstep; mutates each net in place.
+
+    The nets share widths, activation and batch-norm settings, and the
+    configs share epochs, lr and batch size; each net keeps its own seed,
+    and so its own per-epoch permutations.  Each step runs every numpy
+    operation once for the whole stack: ``@`` on stacked arrays runs, per
+    net, the BLAS call the net's own 2-D product runs, and sums run along
+    the batch axis in the order they run for one net.  So every net ends
+    bit for bit as ``train_sgd`` leaves it on its own.
+
+    Returns, per net, its ``TrainLog`` or the ``TrainingDivergedError`` that
+    stopped it.  A net whose loss turns NaN leaves the stack with its
+    parameters and running statistics as they were before the failing step;
+    the others go on.
+    """
+    if not nets or len(nets) != len(configs):
+        raise ValueError("need one config per net, and at least one net")
+    recipes = {(c.epochs, c.lr, c.batch_size) for c in configs}
+    if len(recipes) > 1:
+        raise ValueError("the configs of a stack must share epochs, lr and batch size")
+    if len({_layout(net) for net in nets}) > 1:
+        raise ValueError("the nets of a stack must share widths, activation and batch norm")
+    ((epochs, lr, batch_size),) = recipes
+    first = nets[0]
+    if dataset.dim != first.widths[0]:
+        raise ValueError("dataset width does not match the network input")
+    norms = [block.norm for block in first.hidden]
+    eps = [None if norm is None else norm.eps for norm in norms]
+    # one momentum per running statistic: mean and variance of each normalized block
+    momenta = [norm.momentum for norm in norms if norm is not None for _ in range(2)]
+    n_params = len(list(_param_items(first)))
+    # one (S, out, in) or (S, 1, n) array per parameter, then per running statistic
+    arrays = [
+        np.stack([a.reshape(-1, a.shape[-1]) for a in column])
+        for column in zip(*map(_net_arrays, nets))
+    ]
+    rngs = [np.random.default_rng(config.seed) for config in configs]
+    alive = list(range(len(nets)))  # the nets still in the stack, in stack order
+    results = [None] * len(nets)
+    losses, accs = [[] for _ in nets], [[] for _ in nets]
+    size = len(dataset)
+    for epoch in range(epochs):
+        order = np.stack([rngs[i].permutation(size) for i in alive])
+        epoch_loss = np.zeros(len(alive))
+        correct = np.zeros(len(alive), dtype=np.intp)
+        for start in range(0, size, batch_size):
+            idx = order[:, start : start + batch_size]
+            y = dataset.labels[idx]
+            loss, grads, batch_stats, probs = _loss_and_grads(
+                arrays[:n_params], eps, first.activation, dataset.features[idx], y
+            )
+            diverged = np.isnan(loss)
+            if diverged.any():
+                for k in np.flatnonzero(diverged):
+                    _unstack(arrays, k, nets[alive[k]])
+                    results[alive[k]] = TrainingDivergedError(
+                        f"NaN loss at epoch {epoch}, batch starting {start}; "
+                        "try a smaller learning rate"
+                    )
+                keep = ~diverged
+                alive = [i for i, kept in zip(alive, keep) if kept]
+                if not alive:
+                    return results
+                arrays, grads, batch_stats = (
+                    [a[keep] for a in group] for group in (arrays, grads, batch_stats)
+                )
+                order, y, loss, probs, epoch_loss, correct = (
+                    a[keep] for a in (order, y, loss, probs, epoch_loss, correct)
+                )
+            epoch_loss += loss * idx.shape[1]
+            correct += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
+            for p, grad in zip(arrays, grads):
+                grad *= lr
+                p -= grad
+            for running, batch, momentum in zip(arrays[n_params:], batch_stats, momenta):
+                running *= 1.0 - momentum
+                running += momentum * batch
+            # free this step's gradients before the next step makes its own;
+            # the first-layer ones of three 784-to-64 nets take 1.2 MB
+            del grads, batch_stats
+        for k, i in enumerate(alive):
+            losses[i].append(float(epoch_loss[k]) / size)
+            accs[i].append(int(correct[k]) / size)
+    for k, i in enumerate(alive):
+        _unstack(arrays, k, nets[i])
+        results[i] = TrainLog(epoch_losses=tuple(losses[i]), epoch_accuracies=tuple(accs[i]))
+    return results
+
+
+def _unstack(arrays, k: int, net: Network):
+    """Copy member ``k`` of the stacked arrays back into ``net``'s own."""
+    for own, stacked in zip(_net_arrays(net), arrays):
+        own[...] = stacked[k].reshape(own.shape)
+
+
 def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
-    """Plain SGD; mutates ``net`` in place.
+    """Plain SGD on one net, as a stack of one for ``train_sgd_stack``;
+    mutates ``net`` in place.
 
     Deterministic given the config seed and the BLAS thread count.  Aborts
     with a diagnostic if the loss turns NaN.
     """
-    if dataset.dim != net.widths[0]:
-        raise ValueError("dataset width does not match the network input")
-    rng = np.random.default_rng(config.seed)
-    params = [p for _, p in _param_items(net)]
-    losses, accs = [], []
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(dataset))
-        epoch_loss = 0.0
-        correct = 0
-        for start in range(0, len(dataset), config.batch_size):
-            idx = order[start : start + config.batch_size]
-            x, y = dataset.features[idx], dataset.labels[idx]
-            loss, grads, batch_stats, probs = _loss_and_grads(net, x, y)
-            if math.isnan(loss):
-                raise TrainingDivergedError(
-                    f"NaN loss at epoch {epoch}, batch starting {start}; "
-                    "try a smaller learning rate"
-                )
-            epoch_loss += loss * len(idx)
-            correct += int(np.count_nonzero(probs.argmax(axis=1) == y))
-            for p, grad in zip(params, grads):
-                grad *= config.lr
-                p -= grad
-            for norm, *stats in batch_stats:
-                for running, batch in zip((norm.running_mean, norm.running_var), stats):
-                    running *= 1.0 - norm.momentum
-                    running += norm.momentum * batch
-        losses.append(epoch_loss / len(dataset))
-        accs.append(correct / len(dataset))
-    return TrainLog(epoch_losses=tuple(losses), epoch_accuracies=tuple(accs))
+    (result,) = train_sgd_stack([net], dataset, [config])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
 
 
 def evaluate_accuracy(net: Network, dataset: Dataset) -> float:

@@ -148,7 +148,9 @@ def gradient_check(
         else:
             raise RuntimeError("could not move the batch away from ReLU kinks")
 
-    _, grads, _, _ = mlp._loss_and_grads(net, x, y)
+    params = [p.reshape(1, -1, p.shape[-1]) for _, p in mlp._param_items(net)]  # a stack of one
+    eps = [None if block.norm is None else block.norm.eps for block in net.hidden]
+    _, grads, _, _ = mlp._loss_and_grads(params, eps, net.activation, x[None], y[None])
     x_long = x.astype(np.longdouble)
     worst = 0.0
     for (_, param), grad in zip(mlp._param_items(net), grads):

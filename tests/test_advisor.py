@@ -267,6 +267,60 @@ def test_width_sweep_b0_matches_dim1_layer_profile():
     assert min(row.max_b0_min_radius for row in result.rows) < 30
 
 
+def _blown_up(net, width, seed):
+    """The width-4, seed-2 net with huge output weights: its loss turns NaN
+    in its first epoch."""
+    if (width, seed) == (4, 2):
+        net.output.weight[...] *= 1e100
+    return net
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_width_sweep_records_a_diverging_row_and_keeps_the_others(monkeypatch):
+    train, test = make_image_dataset(120, 60, seed=3, side=6, classes=3)
+    build = mlp.build_network
+    monkeypatch.setattr(
+        advisor,
+        "build_network",
+        lambda shape, act, seed, batch_norm: _blown_up(
+            build(shape, act, seed=seed, batch_norm=batch_norm), shape[1], seed
+        ),
+    )
+    config = dict(epochs=2, lr=0.05, batch_size=16)
+    result = advisor.width_sweep(
+        widths=[2, 4],
+        seeds=[1, 2, 3],
+        train_dataset=train,
+        test_dataset=test,
+        activation=mlp.relu_activation(),
+        per_class_cap=30,
+        **config,
+    )
+    assert [(row.width, row.seed) for row in result.rows if row.error] == [(4, 2)]
+    for row in result.rows:
+        # each row as its net, trained alone, gives it
+        net = mlp.build_network(
+            [train.dim] + [row.width] * 3 + [train.n_classes],
+            mlp.relu_activation(),
+            seed=row.seed,
+            batch_norm=True,
+        )
+        _blown_up(net, row.width, row.seed)
+        solo = mlp.TrainConfig(seed=row.seed, **config)
+        if row.error:
+            with pytest.raises(mlp.TrainingDivergedError) as diverged:
+                mlp.train_sgd(net, train, solo)
+            assert row.error == str(diverged.value)
+            assert np.isnan(row.accuracy) and row.profile is None
+            continue
+        mlp.train_sgd(net, train, solo)
+        assert row.accuracy == mlp.evaluate_accuracy(net, test)
+        prof = advisor.layer_profile(net, train, layer=3, per_class_cap=30, seed=row.seed, max_dim=0)
+        assert row.max_b0_min_radius == prof.max_b0_at_min_radius()
+        for c in prof.class_ids():
+            assert np.array_equal(row.profile.curves[c].b0, prof.curves[c].b0)
+
+
 def test_width_sweep_single_width_and_width_one(monkeypatch):
     train, test = make_image_dataset(60, 30, seed=4, side=5, classes=2)
     kwargs = dict(
@@ -288,7 +342,7 @@ def test_width_sweep_single_width_and_width_one(monkeypatch):
     assert row.max_b0_min_radius >= 1
     # a layer the nets do not have is refused before anything trains
     trained = []
-    monkeypatch.setattr(advisor, "train_sgd", lambda *args: trained.append(args))
+    monkeypatch.setattr(advisor, "train_sgd_stack", lambda *args: trained.append(args))
     with pytest.raises(ValueError, match=r"layer must be in 1\.\.3, got 4"):
         advisor.width_sweep(**kwargs, layer=4)
     assert trained == []

@@ -518,7 +518,7 @@ def test_sweep_checks_the_classes_before_training(tmp_path, capsys, monkeypatch)
     csv = tmp_path / "singletons.csv"
     csv.write_text("0,0,0\n1,1,1\n2,0,2\n")
     trained = []
-    monkeypatch.setattr(advisor, "train_sgd", lambda *args: trained.append(args))
+    monkeypatch.setattr(advisor, "train_sgd_stack", lambda *args: trained.append(args))
     argv = ["sweep", "--data", str(csv), "--test-data", str(csv), "--widths", "2,4", "--seeds",
             "1", "--epochs", "1", "--out", str(tmp_path / "o")]
     assert main(argv) == 1

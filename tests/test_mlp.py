@@ -108,17 +108,17 @@ def _train_state(train, net, ds, config):
     return outcome, [a.tobytes() for a in arrays]
 
 
-@pytest.mark.parametrize(
-    "hidden, act, batch_norm, lr",
-    [
-        pytest.param([8, 8], mlp.relu_activation(), True, 0.05, id="relu-bn"),
-        pytest.param([8, 5], mlp.relu_activation(), False, 0.05, id="relu"),
-        pytest.param([6], mlp.poly_activation((0.1, 0.5, 0.3)), True, 0.05, id="poly-bn"),
-        pytest.param([6, 4], mlp.poly_activation((0.1, 0.5, 0.3)), False, 0.02, id="poly"),
-        pytest.param([], mlp.relu_activation(), True, 0.05, id="no-hidden-layer"),
-        pytest.param([4], mlp.poly_activation(), False, 1e6, id="diverging"),
-    ],
-)
+_ORACLE_CASES = [
+    pytest.param([8, 8], mlp.relu_activation(), True, 0.05, id="relu-bn"),
+    pytest.param([8, 5], mlp.relu_activation(), False, 0.05, id="relu"),
+    pytest.param([6], mlp.poly_activation((0.1, 0.5, 0.3)), True, 0.05, id="poly-bn"),
+    pytest.param([6, 4], mlp.poly_activation((0.1, 0.5, 0.3)), False, 0.02, id="poly"),
+    pytest.param([], mlp.relu_activation(), True, 0.05, id="no-hidden-layer"),
+    pytest.param([4], mlp.poly_activation(), False, 1e6, id="diverging"),
+]
+
+
+@pytest.mark.parametrize("hidden, act, batch_norm, lr", _ORACLE_CASES)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_sgd_bit_identical_to_the_dict_based_oracle(hidden, act, batch_norm, lr):
     train_ds, _ = make_image_dataset(70, 10, seed=2, side=6, classes=3)  # 70 rows, batches of 32
@@ -131,6 +131,76 @@ def test_train_sgd_bit_identical_to_the_dict_based_oracle(hidden, act, batch_nor
     # the diverging run fails in its second epoch, after 4 updates
     diverged = states[0][0].startswith("diverged: NaN loss at epoch 1, batch starting 64;")
     assert diverged == (lr == 1e6)
+
+
+def _stack_states(nets, ds, configs):
+    """``_train_state`` of every net of one ``train_sgd_stack`` call."""
+    outcomes = mlp.train_sgd_stack(nets, ds, configs)
+    return [
+        (
+            f"diverged: {outcome}"
+            if isinstance(outcome, mlp.TrainingDivergedError)
+            else repr(outcome),
+            [a.tobytes() for a in mlp._net_arrays(net)],
+        )
+        for outcome, net in zip(outcomes, nets)
+    ]
+
+
+@pytest.mark.parametrize(
+    "hidden, act, batch_norm, lr, batch_size",
+    [pytest.param(*case.values, 32, id=case.id) for case in _ORACLE_CASES]
+    + [
+        pytest.param([1, 1], mlp.relu_activation(), True, 0.05, 32, id="width-1"),
+        pytest.param([8, 8], mlp.relu_activation(), True, 0.05, 1, id="batches-of-1"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_sgd_stack_bit_identical_to_solo_runs(hidden, act, batch_norm, lr, batch_size):
+    train_ds, _ = make_image_dataset(70, 10, seed=2, side=6, classes=3)
+
+    def build(k):
+        return mlp.build_network([train_ds.dim, *hidden, 3], act, seed=1 + k, batch_norm=batch_norm)
+
+    configs = [mlp.TrainConfig(epochs=3, lr=lr, batch_size=batch_size, seed=4 + k) for k in range(3)]
+    solo = [_train_state(mlp.train_sgd, build(k), train_ds, configs[k]) for k in range(3)]
+    for size in (1, 2, 3):
+        nets = [build(k) for k in range(size)]
+        assert _stack_states(nets, train_ds, configs[:size]) == solo[:size]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_diverging_net_leaves_the_stack_and_the_others_go_on():
+    train_ds, _ = make_image_dataset(70, 10, seed=2, side=6, classes=3)
+
+    def build(k):
+        act = mlp.poly_activation((0.1, 0.5, 0.3))
+        net = mlp.build_network([train_ds.dim, 6, 4, 3], act, seed=1 + k, batch_norm=False)
+        if k == 1:  # large initial weights make this net's loss overflow
+            for _, p in mlp._param_items(net):
+                p *= 100.0
+        return net
+
+    configs = [mlp.TrainConfig(epochs=3, lr=0.02, batch_size=32, seed=4 + k) for k in range(3)]
+    solo = [_train_state(mlp.train_sgd, build(k), train_ds, configs[k]) for k in range(3)]
+    assert _stack_states([build(k) for k in range(3)], train_ds, configs) == solo
+    # the middle net fails in the ragged last batch of the first epoch, so the
+    # stack loses it in mid-epoch, after the others have taken two steps
+    assert solo[1][0].startswith("diverged: NaN loss at epoch 0, batch starting 64;")
+    assert all(outcome.startswith("TrainLog(") for outcome, _ in solo[::2])
+
+
+def test_train_sgd_stack_refuses_mixed_stacks():
+    ds = blob_dataset()
+    nets = [mlp.build_network([2, 4, 2], mlp.relu_activation(), seed=k) for k in range(2)]
+    configs = [mlp.TrainConfig(epochs=1, lr=0.1, batch_size=16, seed=k) for k in range(2)]
+    other = mlp.build_network([2, 5, 2], mlp.relu_activation(), seed=2)
+    with pytest.raises(ValueError, match="share widths"):
+        mlp.train_sgd_stack([nets[0], other], ds, configs)
+    with pytest.raises(ValueError, match="share epochs, lr and batch size"):
+        mlp.train_sgd_stack(nets, ds, [configs[0], mlp.TrainConfig(2, 0.1, 16, 1)])
+    with pytest.raises(ValueError, match="one config per net"):
+        mlp.train_sgd_stack(nets, ds, configs[:1])
 
 
 @pytest.mark.parametrize(
