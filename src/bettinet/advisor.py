@@ -32,7 +32,14 @@ import numpy as np
 
 from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD
 from .data import Dataset
-from .homology import Barcode, b0_curve, betti_curve, pairwise_distances, rips_persistence
+from .homology import (
+    Barcode,
+    GeometryError,
+    b0_curve,
+    betti_curve,
+    pairwise_distances,
+    rips_persistence,
+)
 from .mlp import (
     ActivationFn,
     Network,
@@ -158,7 +165,7 @@ def input_profile(
     """
     classes = _profiled_classes(dataset, per_class_cap)
     clouds = {
-        c: dataset.features[dataset.sample_class_indices(c, per_class_cap, seed)] for c in classes
+        c: dataset.rows(dataset.sample_class_indices(c, per_class_cap, seed)) for c in classes
     }
     return _profile_clouds(clouds, radius_grid, max_dim=1, jobs=jobs)
 
@@ -308,8 +315,10 @@ def width_sweep(
     then evaluated and profiled in (width, seed) order.  Row profiles hold
     b0 only (``max_dim=0``).
 
-    A diverging training run is recorded with its error and the sweep
-    continues.  Deterministic given the seed list.
+    A row whose training diverges, or whose layer outputs are no valid
+    point cloud (activations that overflow to infinity), is recorded with
+    its error and b0 0, the former with accuracy NaN; the sweep continues.
+    Deterministic given the seed list.
     """
     if not widths:
         raise ValueError("need at least one width")
@@ -331,35 +340,31 @@ def width_sweep(
         ]
         outcomes = train_sgd_stack(nets, train_dataset, configs)
         for seed, net, outcome in zip(seeds, nets, outcomes):
+            acc, prof, error = float("nan"), None, None
             if isinstance(outcome, TrainingDivergedError):
-                rows.append(
-                    SweepRow(
-                        width=int(width),
-                        seed=int(seed),
-                        accuracy=float("nan"),
-                        max_b0_min_radius=0,
-                        profile=None,
-                        error=str(outcome),
+                error = str(outcome)
+            else:
+                acc = evaluate_accuracy(net, test_dataset)
+                try:
+                    prof = layer_profile(
+                        net,
+                        train_dataset,
+                        layer=layer,
+                        per_class_cap=per_class_cap,
+                        radius_grid=radius_grid,
+                        seed=seed,
+                        max_dim=0,
                     )
-                )
-                continue
-            acc = evaluate_accuracy(net, test_dataset)
-            prof = layer_profile(
-                net,
-                train_dataset,
-                layer=layer,
-                per_class_cap=per_class_cap,
-                radius_grid=radius_grid,
-                seed=seed,
-                max_dim=0,
-            )
+                except GeometryError as exc:  # the layer's activations overflowed
+                    error = str(exc)
             rows.append(
                 SweepRow(
                     width=int(width),
                     seed=int(seed),
                     accuracy=acc,
-                    max_b0_min_radius=prof.max_b0_at_min_radius(),
+                    max_b0_min_radius=0 if prof is None else prof.max_b0_at_min_radius(),
                     profile=prof,
+                    error=error,
                 )
             )
     return SweepResult(rows=tuple(rows))

@@ -224,10 +224,10 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
     return activations, logits, _softmax(logits)
 
 
-def _batch_sum(a: np.ndarray) -> np.ndarray:
+def _batch_sum(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # along the batch axis of an (S, B, n) stack, in the order numpy sums
     # axis 0 of one net's (B, n) array
-    return np.add.reduce(a, 1, keepdims=True)
+    return np.add.reduce(a, 1, keepdims=True, out=out)
 
 
 def _blocks(params, eps):
@@ -243,47 +243,50 @@ def _blocks(params, eps):
     return blocks, tuple(rest)
 
 
-def _forward_train(blocks, output, activation: ActivationFn, x: np.ndarray):
+def _forward_train(blocks, output, activation: ActivationFn, x: np.ndarray, batch_stats):
     """Training-mode pass of a stack of nets on ``x`` of shape (S, B, n_0),
-    using batch statistics; caches (x_in, z, mu, var, inv, x_hat) per hidden
-    block for backprop, the last four None without batch norm."""
+    using batch statistics, which it writes into ``batch_stats``: mean and
+    variance of each normalized block.  Caches (x_in, z, inv, x_hat) per
+    hidden block for backprop, the last two None without batch norm."""
     n = x.shape[1]
+    stats = iter(batch_stats)
     caches = []
     for weight, bias, gamma, beta, eps in blocks:
         z = x @ weight.transpose(0, 2, 1) + bias
         a = activation(z)
         if eps is None:
-            caches.append((x, z, None, None, None, None))
+            caches.append((x, z, None, None))
             x = a
             continue
         # the operations numpy's mean and var run, without their wrappers
-        mu = _batch_sum(a) / n
+        mu = np.divide(_batch_sum(a), n, out=next(stats))
         d = a - mu
-        var = _batch_sum(d * d) / n
+        var = np.divide(_batch_sum(d * d), n, out=next(stats))
         inv = 1.0 / np.sqrt(var + eps)
         x_hat = d * inv
-        caches.append((x, z, mu, var, inv, x_hat))
+        caches.append((x, z, inv, x_hat))
         x = gamma * x_hat + beta
     weight, bias = output
     logits = x @ weight.transpose(0, 2, 1) + bias
     return caches, x, logits
 
 
-def _loss_and_grads(params, eps, activation: ActivationFn, x: np.ndarray, y: np.ndarray):
-    """Mean cross-entropy of each net of a stack, and parameter gradients
-    (training-mode forward).
+def _loss_and_grads(params, eps, activation: ActivationFn, x: np.ndarray, y: np.ndarray,
+                    grads, batch_stats):
+    """Mean cross-entropy and softmax output of each net of a stack
+    (training-mode forward); writes the parameter gradients into ``grads``.
 
     ``params`` are the stacked parameters in ``_param_items`` order: weights
-    (S, out, in), vectors (S, 1, n).  ``eps[k]`` is hidden block k's
-    batch-norm epsilon, None without batch norm.  ``x`` is (S, B, n_0) and
-    ``y`` (S, B).  ``grads`` are stacked like ``params``.  Pure: nothing is
-    modified; the batch mean and variance of each normalized block are
-    returned, in the order of ``_net_arrays``'s running statistics, so the
-    caller can fold them into the running estimates.
+    (S, out, in), vectors (S, 1, n); ``grads`` are arrays stacked like them.
+    ``eps[k]`` is hidden block k's batch-norm epsilon, None without batch
+    norm.  ``x`` is (S, B, n_0) and ``y`` (S, B).  The batch mean and
+    variance of each normalized block go into ``batch_stats``, in the order
+    of ``_net_arrays``'s running statistics, so the caller can fold them
+    into the running estimates.  Nothing else is modified.
     """
     n = x.shape[1]
     blocks, output = _blocks(params, eps)
-    caches, last, logits = _forward_train(blocks, output, activation, x)
+    caches, last, logits = _forward_train(blocks, output, activation, x, batch_stats)
     probs = _softmax(logits)
     picked = (np.arange(len(x))[:, None], np.arange(n), y)
     losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), 1) / n)
@@ -292,23 +295,24 @@ def _loss_and_grads(params, eps, activation: ActivationFn, x: np.ndarray, y: np.
     dlogits[picked] -= 1.0
     dlogits /= n
 
-    # built back to front, reversed into _param_items order at the end
-    grads = [_batch_sum(dlogits), dlogits.transpose(0, 2, 1) @ last]
+    out = reversed(grads)  # written back to front
+    _batch_sum(dlogits, next(out))
+    np.matmul(dlogits.transpose(0, 2, 1), last, out=next(out))
     g = dlogits @ output[0]
     for idx in range(len(blocks) - 1, -1, -1):
         weight, _, gamma, _, block_eps = blocks[idx]
-        x_in, z, _, _, inv, x_hat = caches[idx]
+        x_in, z, inv, x_hat = caches[idx]
         if block_eps is not None:
-            grads += [_batch_sum(g), _batch_sum(g * x_hat)]
+            _batch_sum(g, next(out))
+            _batch_sum(g * x_hat, next(out))
             dxhat = g * gamma
             g = inv * (dxhat - _batch_sum(dxhat) / n - x_hat * (_batch_sum(dxhat * x_hat) / n))
         dz = g * activation.grad(z)
-        grads += [_batch_sum(dz), dz.transpose(0, 2, 1) @ x_in]
+        _batch_sum(dz, next(out))
+        np.matmul(dz.transpose(0, 2, 1), x_in, out=next(out))
         if idx:  # nothing reads the gradient of the input itself
             g = dz @ weight
-    grads.reverse()
-    batch_stats = [stat for cache in caches if cache[2] is not None for stat in cache[2:4]]
-    return losses, grads, batch_stats, probs
+    return losses, probs
 
 
 @dataclass(frozen=True)
@@ -396,14 +400,24 @@ def train_sgd_stack(
         raise ValueError("dataset width does not match the network input")
     norms = [block.norm for block in first.hidden]
     eps = [None if norm is None else norm.eps for norm in norms]
+    # each net's arrays, parameters then running statistics (``_net_arrays``),
+    # as (out, in) weights and (1, n) vectors
+    shapes = [a.reshape(-1, a.shape[-1]).shape for a in _net_arrays(first)]
+    n_params = len(list(_param_items(first)))
+    split = sum(math.prod(shape) for shape in shapes[:n_params])
+    # one row per net: ``state`` holds every array of the net, ``scratch`` a
+    # step's gradients and batch statistics in the same places, so an update
+    # is four numpy calls for the whole stack
+    state = np.stack([np.concatenate([a.ravel() for a in _net_arrays(net)]) for net in nets])
+    scratch = np.empty_like(state)
     # one momentum per running statistic: mean and variance of each normalized block
     momenta = [norm.momentum for norm in norms if norm is not None for _ in range(2)]
-    n_params = len(list(_param_items(first)))
-    # one (S, out, in) or (S, 1, n) array per parameter, then per running statistic
-    arrays = [
-        np.stack([a.reshape(-1, a.shape[-1]) for a in column])
-        for column in zip(*map(_net_arrays, nets))
-    ]
+    momentum = np.repeat(momenta, [math.prod(shape) for shape in shapes[n_params:]])
+    decay = 1.0 - momentum
+    rate = np.concatenate([np.full(split, lr), momentum])  # scales gradients and batch statistics
+    arrays, outputs = _views(state, shapes), _views(scratch, shapes)
+    # every step's rows are decoded into this one buffer
+    batch = np.empty(len(nets) * min(batch_size, len(dataset)) * dataset.dim)
     rngs = [np.random.default_rng(config.seed) for config in configs]
     alive = list(range(len(nets)))  # the nets still in the stack, in stack order
     results = [None] * len(nets)
@@ -416,8 +430,10 @@ def train_sgd_stack(
         for start in range(0, size, batch_size):
             idx = order[:, start : start + batch_size]
             y = dataset.labels[idx]
-            loss, grads, batch_stats, probs = _loss_and_grads(
-                arrays[:n_params], eps, first.activation, dataset.features[idx], y
+            x = dataset.rows(idx, out=batch[: idx.size * dataset.dim].reshape(*idx.shape, -1))
+            loss, probs = _loss_and_grads(
+                arrays[:n_params], eps, first.activation, x, y,
+                outputs[:n_params], outputs[n_params:],
             )
             diverged = np.isnan(loss)
             if diverged.any():
@@ -431,23 +447,17 @@ def train_sgd_stack(
                 alive = [i for i, kept in zip(alive, keep) if kept]
                 if not alive:
                     return results
-                arrays, grads, batch_stats = (
-                    [a[keep] for a in group] for group in (arrays, grads, batch_stats)
-                )
+                state, scratch = state[keep], scratch[keep]
+                arrays, outputs = _views(state, shapes), _views(scratch, shapes)
                 order, y, loss, probs, epoch_loss, correct = (
                     a[keep] for a in (order, y, loss, probs, epoch_loss, correct)
                 )
             epoch_loss += loss * idx.shape[1]
             correct += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
-            for p, grad in zip(arrays, grads):
-                grad *= lr
-                p -= grad
-            for running, batch, momentum in zip(arrays[n_params:], batch_stats, momenta):
-                running *= 1.0 - momentum
-                running += momentum * batch
-            # free this step's gradients before the next step makes its own;
-            # the first-layer ones of three 784-to-64 nets take 1.2 MB
-            del grads, batch_stats
+            scratch *= rate
+            state[:, :split] -= scratch[:, :split]
+            state[:, split:] *= decay
+            state[:, split:] += scratch[:, split:]
         for k, i in enumerate(alive):
             losses[i].append(float(epoch_loss[k]) / size)
             accs[i].append(int(correct[k]) / size)
@@ -455,6 +465,17 @@ def train_sgd_stack(
         _unstack(arrays, k, nets[i])
         results[i] = TrainLog(epoch_losses=tuple(losses[i]), epoch_accuracies=tuple(accs[i]))
     return results
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """One (S, *shape) view per shape into consecutive columns of the
+    (S, total) buffer ``flat``."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(flat[:, start:stop].reshape(len(flat), *shape))
+        start = stop
+    return views
 
 
 def _unstack(arrays, k: int, net: Network):
@@ -477,7 +498,7 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
 
 
 def evaluate_accuracy(net: Network, dataset: Dataset) -> float:
-    _, _, probs = forward(net, dataset.features)
+    _, _, probs = forward(net, dataset.rows())
     return float(np.mean(probs.argmax(axis=1) == dataset.labels))
 
 
@@ -509,7 +530,7 @@ def extract_class_activations(
     idx = dataset.sample_class_indices(class_id, cap, seed)
     if len(idx) == 0:
         raise EmptyClassError(f"class {class_id} has no samples")
-    activations, _, _ = forward(net, dataset.features[idx])
+    activations, _, _ = forward(net, dataset.rows(idx))
     out = activations[layer - 1].copy()
     out.flags.writeable = False
     return ActivationDump(layer=layer, class_id=class_id, activations=out)

@@ -150,7 +150,9 @@ def gradient_check(
 
     params = [p.reshape(1, -1, p.shape[-1]) for _, p in mlp._param_items(net)]  # a stack of one
     eps = [None if block.norm is None else block.norm.eps for block in net.hidden]
-    _, grads, _, _ = mlp._loss_and_grads(params, eps, net.activation, x[None], y[None])
+    grads = [np.empty_like(p) for p in params]
+    stats = [np.empty((1, 1, b.norm.gamma.size)) for b in net.hidden if b.norm for _ in "mv"]
+    mlp._loss_and_grads(params, eps, net.activation, x[None], y[None], grads, stats)
     x_long = x.astype(np.longdouble)
     worst = 0.0
     for (_, param), grad in zip(mlp._param_items(net), grads):

@@ -321,6 +321,36 @@ def test_width_sweep_records_a_diverging_row_and_keeps_the_others(monkeypatch):
             assert np.array_equal(row.profile.curves[c].b0, prof.curves[c].b0)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_width_sweep_records_a_row_whose_layer_overflows_and_keeps_the_others():
+    # at lr 1000 most squared activations overflow without a NaN loss, so
+    # layer_profile refuses the layer's points; one net diverges outright
+    train, test = make_image_dataset(120, 60, seed=3, side=6, classes=3)
+    config = dict(epochs=2, lr=1000.0, batch_size=16)
+    result = advisor.width_sweep(
+        widths=[2, 4],
+        seeds=[1, 2, 3],
+        train_dataset=train,
+        test_dataset=test,
+        activation=mlp.poly_activation(),
+        per_class_cap=30,
+        **config,
+    )
+    assert [(row.width, row.seed) for row in result.rows] == [(w, s) for w in (2, 4) for s in (1, 2, 3)]
+    errors = {(row.width, row.seed): row.error for row in result.rows}
+    assert errors[4, 1].startswith("NaN loss")
+    assert errors[4, 3] is None
+    overflowed = [row for row in result.rows if row.error == "point coordinates must be finite"]
+    assert len(overflowed) == 4
+    for row in overflowed:
+        net = mlp.build_network([train.dim] + [row.width] * 3 + [3], mlp.poly_activation(),
+                                seed=row.seed, batch_norm=True)
+        mlp.train_sgd(net, train, mlp.TrainConfig(seed=row.seed, **config))
+        assert row.accuracy == mlp.evaluate_accuracy(net, test)
+        assert row.max_b0_min_radius == 0 and row.profile is None
+    assert "! point coordinates must be finite" in result.to_text()
+
+
 def test_width_sweep_single_width_and_width_one(monkeypatch):
     train, test = make_image_dataset(60, 30, seed=4, side=5, classes=2)
     kwargs = dict(
