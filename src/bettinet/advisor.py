@@ -2,6 +2,10 @@
 input classes against layer outputs, flag representations that lose
 components, and sweep layer widths.
 
+``layer_profile`` is the one profile function; its layer 0 is the input
+features (as in Naitzat, Zhitnikova & Lim 2020), and every layer is
+measured on the same sampled rows of each class.
+
 "b0 at minimum radius" means the b0 value at the smallest strictly
 positive radius of the configured grid (default: 64 log-spaced radii from
 1e-3 to the largest class diameter).  Narrow layers collapse distinct
@@ -12,7 +16,7 @@ number detects.
 class gets only its b0 curve, exact from a minimum spanning tree;
 ``width_sweep`` reads nothing else, and runs it serially, because a class
 costs milliseconds (about 2 ms at 100 points), less than starting a worker.
-At 1 (the default, and all ``input_profile`` computes) each class gets its
+At 1 (the default, and what ``analyze`` computes) each class gets its
 dim-1 Rips barcode and b0/b1 curves; these computations are independent
 and may run in parallel (``jobs``); results do not depend on the level of
 parallelism.  The pool pays only once classes are large: on 2 cores, with
@@ -59,7 +63,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "default_radius_grid",
-    "input_profile",
     "layer_profile",
     "compare_profiles",
     "width_sweep",
@@ -114,27 +117,6 @@ def _curves_for_cloud(args) -> ClassCurves:
     )
 
 
-def _profile_clouds(
-    clouds: dict[int, np.ndarray],
-    radius_grid: Optional[np.ndarray],
-    max_dim: int,
-    jobs: int,
-) -> ClassProfile:
-    dists = {cid: pairwise_distances(pts) for cid, pts in sorted(clouds.items())}
-    if radius_grid is None:
-        max_dist = max((float(d.max()) for d in dists.values()), default=0.0)
-        radius_grid = default_radius_grid(max_dist)
-    grid = np.asarray(radius_grid, dtype=np.float64)
-
-    tasks = [(dist, grid, max_dim) for dist in dists.values()]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_curves_for_cloud, tasks))
-    else:
-        results = [_curves_for_cloud(t) for t in tasks]
-    return ClassProfile(curves=dict(zip(dists, results)), grid=grid)
-
-
 def _profiled_classes(dataset: Dataset, per_class_cap: int) -> list[int]:
     """Return the classes with at least two points; the others are skipped
     with a warning, and a dataset with no such class raises ValueError."""
@@ -152,26 +134,8 @@ def _profiled_classes(dataset: Dataset, per_class_cap: int) -> list[int]:
     return classes
 
 
-def input_profile(
-    dataset: Dataset,
-    per_class_cap: int = DEFAULT_CLASS_CAP,
-    radius_grid: Optional[np.ndarray] = None,
-    seed: int = 0,
-    jobs: int = 1,
-) -> ClassProfile:
-    """Per-class b0/b1 curves of the raw features.
-
-    Classes with fewer than two points are skipped with a warning.
-    """
-    classes = _profiled_classes(dataset, per_class_cap)
-    clouds = {
-        c: dataset.rows(dataset.sample_class_indices(c, per_class_cap, seed)) for c in classes
-    }
-    return _profile_clouds(clouds, radius_grid, max_dim=1, jobs=jobs)
-
-
 def layer_profile(
-    net: Network,
+    net: Optional[Network],
     dataset: Dataset,
     layer: int,
     per_class_cap: int = DEFAULT_CLASS_CAP,
@@ -181,15 +145,31 @@ def layer_profile(
     max_dim: int = 1,
 ) -> ClassProfile:
     """Per-class b0 (and at ``max_dim=1`` b1) curves of the layer outputs
-    (inference mode), on the same samples ``input_profile`` uses."""
+    (inference mode).  Layer 0 is the input features, and needs no
+    ``net``; every layer draws the same rows for the same cap and seed.
+
+    Classes with fewer than two points are skipped with a warning.
+    """
     if max_dim not in (0, 1):
         raise ValueError(f"max_dim must be 0 or 1, got {max_dim}")
-    classes = _profiled_classes(dataset, per_class_cap)
-    clouds = {
-        c: extract_class_activations(net, dataset, layer, c, per_class_cap, seed).activations
-        for c in classes
+    dists = {
+        c: pairwise_distances(
+            extract_class_activations(net, dataset, layer, c, per_class_cap, seed).activations
+        )
+        for c in _profiled_classes(dataset, per_class_cap)
     }
-    return _profile_clouds(clouds, radius_grid, max_dim, jobs)
+    if radius_grid is None:
+        max_dist = max((float(d.max()) for d in dists.values()), default=0.0)
+        radius_grid = default_radius_grid(max_dist)
+    grid = np.asarray(radius_grid, dtype=np.float64)
+
+    tasks = [(dist, grid, max_dim) for dist in dists.values()]
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_curves_for_cloud, tasks))
+    else:
+        results = [_curves_for_cloud(t) for t in tasks]
+    return ClassProfile(curves=dict(zip(dists, results)), grid=grid)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ _parse_int_list = _checked(
     "comma-separated integers",
 )
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_class_cap = _checked(int, lambda v: v >= 2, "an integer >= 2")
 _finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
@@ -178,12 +179,10 @@ def cmd_analyze(args, out: Path) -> int:
 
     dataset = _load_dataset(args.data, args.label_col)
     net = mlp.load_checkpoint(args.checkpoint)
-    inp = advisor.input_profile(
-        dataset, per_class_cap=args.cap, seed=args.seed, jobs=args.jobs
-    )
-    lay = advisor.layer_profile(
-        net, dataset, layer=args.layer, per_class_cap=args.cap, seed=args.seed, jobs=args.jobs
-    )
+    sample = dict(per_class_cap=args.cap, seed=args.seed, jobs=args.jobs)
+    # the layer first, so that a layer the net lacks fails before any homology
+    lay = advisor.layer_profile(net, dataset, args.layer, **sample)
+    inp = advisor.layer_profile(None, dataset, 0, **sample)
     _warn_training_accuracy("analyze reads only --data")
     acc = mlp.evaluate_accuracy(net, dataset)
     report = advisor.compare_profiles(inp, lay, threshold_fraction=args.threshold, accuracy=acc)
@@ -291,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="input vs layer topology profiles")
     add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--layer", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLASS_CAP)
+    p.add_argument("--layer", type=_positive_int, required=True)
+    p.add_argument("--cap", type=_class_cap, default=DEFAULT_CLASS_CAP)
     p.add_argument("--threshold", type=_finite_nonnegative, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_parse_int_list, required=True)
     add_training_flags(p)
     p.add_argument("--layer", type=int, default=None)
-    p.add_argument("--cap", type=int, default=DEFAULT_CLASS_CAP)
+    p.add_argument("--cap", type=_class_cap, default=DEFAULT_CLASS_CAP)
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="no effect: sweep computes only b0, serially"
     )

@@ -114,8 +114,9 @@ class Dataset:
         """Sorted row indices of up to ``cap`` points of one class, drawn
         uniformly without replacement with the given seed.
 
-        Input and layer profiles both select their points here, so for the
-        same (cap, seed) they compare the same samples.
+        ``extract_class_activations`` selects its points here for every
+        layer, layer 0 (the input) included, so for the same (cap, seed)
+        all layer profiles compare the same samples.
         """
         idx = self.class_indices(class_id)
         if len(idx) <= cap:

@@ -515,7 +515,7 @@ class ActivationDump:
 
 
 def extract_class_activations(
-    net: Network,
+    net: Optional[Network],
     dataset: Dataset,
     layer: int,
     class_id: int,
@@ -524,14 +524,16 @@ def extract_class_activations(
 ) -> ActivationDump:
     """Post-batch-norm layer outputs of up to ``cap`` points of one class,
     the rows ``Dataset.sample_class_indices`` draws with the given seed
-    (inference mode)."""
-    if not 1 <= layer <= len(net.hidden):
+    (inference mode), read-only.  Layer 0 is the input: the rows
+    themselves, without a forward pass, so ``net`` may be None."""
+    if layer != 0 and not 1 <= layer <= len(net.hidden):
         raise ValueError(f"layer must be in 1..{len(net.hidden)}, got {layer}")
     idx = dataset.sample_class_indices(class_id, cap, seed)
     if len(idx) == 0:
         raise EmptyClassError(f"class {class_id} has no samples")
-    activations, _, _ = forward(net, dataset.rows(idx))
-    out = activations[layer - 1].copy()
+    out = dataset.rows(idx)
+    if layer:
+        out = forward(net, out)[0][layer - 1]
     out.flags.writeable = False
     return ActivationDump(layer=layer, class_id=class_id, activations=out)
 

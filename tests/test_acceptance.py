@@ -308,7 +308,7 @@ def test_criterion_09_desk_scale_trends(desk_scale_idx):
     train, test = desk_scale_idx
     assert len(train) == 2000 and len(test) == 1000
 
-    input_prof = advisor.input_profile(train, per_class_cap=200, seed=0, jobs=2)
+    input_prof = advisor.layer_profile(None, train, 0, per_class_cap=200, seed=0, jobs=2)
     sweep = advisor.width_sweep(
         widths=[4, 16, 64],
         seeds=[1, 2, 3],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bettinet import advisor, mlp
+from bettinet import advisor, homology, mlp
 from bettinet.data import Dataset, make_image_dataset
 
 
@@ -30,7 +30,7 @@ def circle_dataset(seed=0, n=40):
 
 def test_input_profile_blob_endpoints():
     ds = blobs_dataset()
-    prof = advisor.input_profile(ds, per_class_cap=50, seed=0)
+    prof = advisor.layer_profile(None, ds, 0, per_class_cap=50, seed=0)
     for c in (0, 1):
         curves = prof.curves[c]
         assert curves.b0[0] == 50  # all points distinct at the minimum radius
@@ -40,7 +40,7 @@ def test_input_profile_blob_endpoints():
 
 def test_input_profile_circle_class_has_a_loop():
     ds = circle_dataset()
-    prof = advisor.input_profile(ds, per_class_cap=40, seed=1)
+    prof = advisor.layer_profile(None, ds, 0, per_class_cap=40, seed=1)
     assert prof.curves[0].b1.max() >= 1
 
 
@@ -48,14 +48,39 @@ def test_input_profile_skips_tiny_class_with_warning():
     feats = np.vstack([np.zeros((5, 2)), np.ones((1, 2))])
     ds = Dataset(features=feats, labels=np.array([0] * 5 + [1]), n_classes=2)
     with pytest.warns(UserWarning, match="class 1"):
-        prof = advisor.input_profile(ds, per_class_cap=10)
+        prof = advisor.layer_profile(None, ds, 0, per_class_cap=10)
     assert prof.class_ids() == (0,)
 
 
 def test_profiles_without_a_class_of_two_points_raise():
     ds = Dataset(features=np.eye(3), labels=np.arange(3), n_classes=3)
     with pytest.warns(UserWarning), pytest.raises(ValueError, match="no class has two points"):
-        advisor.input_profile(ds)
+        advisor.layer_profile(None, ds, 0)
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [make_image_dataset(90, 10, seed=2, side=5, classes=3)[0], circle_dataset(seed=3)],
+    ids=["8-bit-pixels", "floats"],
+)
+def test_layer_0_profile_equals_the_input_profile_built_by_hand(dataset):
+    cap, seed = 20, 6
+    prof = advisor.layer_profile(None, dataset, 0, per_class_cap=cap, seed=seed)
+    dists = {
+        c: homology.pairwise_distances(
+            dataset.rows(dataset.sample_class_indices(c, cap, seed))
+        )
+        for c in range(dataset.n_classes)
+    }
+    grid = advisor.default_radius_grid(max(float(d.max()) for d in dists.values()))
+    assert np.array_equal(prof.grid, grid)
+    assert prof.class_ids() == tuple(dists)
+    for c, dist in dists.items():
+        barcode = homology.rips_persistence(dist, 1)
+        curves = prof.curves[c]
+        assert curves.barcode == barcode
+        assert np.array_equal(curves.b0, homology.betti_curve(barcode, 0, grid))
+        assert np.array_equal(curves.b1, homology.betti_curve(barcode, 1, grid))
 
 
 def test_layer_profile_untrained_net_smoke():
@@ -76,7 +101,7 @@ def test_layer_profile_isometric_net_preserves_profile():
     net = mlp.build_network([2, 2, 2], mlp.relu_activation(), seed=0, batch_norm=False)
     net.hidden[0].dense.weight[:] = rot
     net.hidden[0].dense.bias[:] = 50.0  # keeps activations strictly positive
-    inp = advisor.input_profile(shifted, per_class_cap=30, seed=3)
+    inp = advisor.layer_profile(None, shifted, 0, per_class_cap=30, seed=3)
     lay = advisor.layer_profile(net, shifted, layer=1, per_class_cap=30, radius_grid=inp.grid, seed=3)
     for c in (0, 1):
         assert np.array_equal(inp.curves[c].b0, lay.curves[c].b0)
@@ -92,7 +117,7 @@ def test_input_and_layer_profiles_sample_the_same_rows():
     net = mlp.build_network([2, 2, 2], mlp.relu_activation(), seed=0, batch_norm=False)
     net.hidden[0].dense.weight[:] = np.eye(2)
     net.hidden[0].dense.bias[:] = 50.0  # a translation: distances are unchanged
-    inp = advisor.input_profile(mixed, per_class_cap=15, seed=4)
+    inp = advisor.layer_profile(None, mixed, 0, per_class_cap=15, seed=4)
     lay = advisor.layer_profile(net, mixed, layer=1, per_class_cap=15, seed=4)
     for c in (0, 1):
         deaths = [
@@ -112,7 +137,7 @@ def test_profile_computes_each_distance_matrix_once(monkeypatch):
         return real(points)
 
     monkeypatch.setattr(advisor, "pairwise_distances", counted)
-    advisor.input_profile(blobs_dataset(per_class=20), per_class_cap=20)
+    advisor.layer_profile(None, blobs_dataset(per_class=20), 0, per_class_cap=20)
     assert calls == [20, 20]  # one per class, shared by the grid and the curves
 
 
@@ -134,8 +159,8 @@ def test_input_profile_invariant_under_rotation():
     theta = 1.1
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     rotated = Dataset(features=ds.features @ rot.T, labels=ds.labels, n_classes=2)
-    a = advisor.input_profile(ds, per_class_cap=30, seed=5)
-    b = advisor.input_profile(rotated, per_class_cap=30, radius_grid=a.grid, seed=5)
+    a = advisor.layer_profile(None, ds, 0, per_class_cap=30, seed=5)
+    b = advisor.layer_profile(None, rotated, 0, per_class_cap=30, radius_grid=a.grid, seed=5)
     for c in (0, 1):
         assert np.array_equal(a.curves[c].b0, b.curves[c].b0)
         assert np.array_equal(a.curves[c].b1, b.curves[c].b1)
@@ -143,8 +168,8 @@ def test_input_profile_invariant_under_rotation():
 
 def test_jobs_parallelism_matches_serial():
     ds = blobs_dataset(per_class=25)
-    serial = advisor.input_profile(ds, per_class_cap=25, seed=0, jobs=1)
-    parallel = advisor.input_profile(ds, per_class_cap=25, seed=0, jobs=2)
+    serial = advisor.layer_profile(None, ds, 0, per_class_cap=25, seed=0, jobs=1)
+    parallel = advisor.layer_profile(None, ds, 0, per_class_cap=25, seed=0, jobs=2)
     for c in (0, 1):
         assert np.array_equal(serial.curves[c].b0, parallel.curves[c].b0)
         assert np.array_equal(serial.curves[c].b1, parallel.curves[c].b1)
@@ -166,9 +191,9 @@ def test_pool_is_capped_at_the_class_count(monkeypatch):
 
     workers = []
     ds, _ = make_image_dataset(60, 10, seed=4, side=4, classes=3)
-    serial = advisor.input_profile(ds, per_class_cap=12, seed=0, jobs=1)
+    serial = advisor.layer_profile(None, ds, 0, per_class_cap=12, seed=0, jobs=1)
     monkeypatch.setattr(advisor, "ProcessPoolExecutor", SerialPool)
-    capped = advisor.input_profile(ds, per_class_cap=12, seed=0, jobs=10**6)
+    capped = advisor.layer_profile(None, ds, 0, per_class_cap=12, seed=0, jobs=10**6)
     assert workers == [3]
     assert np.array_equal(serial.grid, capped.grid)
     assert capped.class_ids() == serial.class_ids() == (0, 1, 2)
@@ -180,7 +205,7 @@ def test_pool_is_capped_at_the_class_count(monkeypatch):
 
 def test_compare_identical_profiles_no_flags():
     ds = blobs_dataset(per_class=25)
-    prof = advisor.input_profile(ds, per_class_cap=25)
+    prof = advisor.layer_profile(None, ds, 0, per_class_cap=25)
     report = advisor.compare_profiles(prof, prof, threshold_fraction=0.5)
     assert report.efficient
     assert not any(c.flagged for c in report.classes)
@@ -189,13 +214,13 @@ def test_compare_identical_profiles_no_flags():
 
 def test_compare_flags_collapsed_classes():
     ds = blobs_dataset(per_class=25)
-    inp = advisor.input_profile(ds, per_class_cap=25)
+    inp = advisor.layer_profile(None, ds, 0, per_class_cap=25)
     collapsed = Dataset(
         features=np.vstack([np.zeros((25, 2)), ds.features[25:]]),
         labels=ds.labels,
         n_classes=2,
     )
-    lay = advisor.input_profile(collapsed, per_class_cap=25)
+    lay = advisor.layer_profile(None, collapsed, 0, per_class_cap=25)
     report = advisor.compare_profiles(inp, lay, threshold_fraction=0.5)
     flags = {c.class_id: c.flagged for c in report.classes}
     assert flags[0] is True  # 25 points collapsed to 1 < 0.5 * 25
@@ -205,11 +230,11 @@ def test_compare_flags_collapsed_classes():
 
 def test_compare_class_set_mismatch_errors():
     ds = blobs_dataset(per_class=25)
-    prof = advisor.input_profile(ds, per_class_cap=25)
+    prof = advisor.layer_profile(None, ds, 0, per_class_cap=25)
     feats = np.vstack([np.zeros((5, 2)), np.ones((1, 2))])
     tiny = Dataset(features=feats, labels=np.array([0] * 5 + [1]), n_classes=2)
     with pytest.warns(UserWarning):
-        other = advisor.input_profile(tiny, per_class_cap=10)
+        other = advisor.layer_profile(None, tiny, 0, per_class_cap=10)
     with pytest.raises(ValueError, match="class sets differ"):
         advisor.compare_profiles(prof, other)
 

@@ -526,6 +526,26 @@ def test_sweep_checks_the_classes_before_training(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == "error: no class has two points to profile\n"
 
 
+def test_analyze_fails_on_a_missing_layer_before_any_homology(
+    idx_dir, idx_checkpoint, tmp_path, capsys, monkeypatch
+):
+    from bettinet import advisor
+
+    calls = []
+    real = advisor.pairwise_distances
+
+    def counted(points):
+        calls.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(advisor, "pairwise_distances", counted)
+    argv = ["analyze", "--data", str(idx_dir), "--checkpoint", str(idx_checkpoint), "--layer",
+            "4", "--out", str(tmp_path / "a")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: layer must be in 1..2, got 4\n"
+    assert calls == []
+
+
 _BOUNDS = "bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 10 --free-layer"
 _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
 
@@ -561,11 +581,20 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "no class has two points to profile"),
         ("analyze --data SINGLETONS --checkpoint CHECKPOINT --layer 1", 1,
          "no class has two points to profile"),
+        ("analyze --data IDX --checkpoint CHECKPOINT --layer 0", 2,
+         "argument --layer: expected an integer >= 1, got '0'"),
+        ("analyze --data IDX --checkpoint CHECKPOINT --layer 4", 1,
+         "layer must be in 1..2, got 4"),
+        ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --cap 1", 2,
+         "argument --cap: expected an integer >= 2, got '1'"),
+        ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --cap 1", 2,
+         "argument --cap: expected an integer >= 2, got '1'"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
          "checkpoint-json-list", "max-dim-3", "max-dim--1", "max-radius-0", "max-radius-nan",
-         "label-1e18", "sweep-singletons", "analyze-singletons"],
+         "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",
+         "analyze-layer-4", "analyze-cap-1", "sweep-cap-1"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",

@@ -261,6 +261,15 @@ def test_extract_class_activations_cap_and_determinism():
     d2 = mlp.extract_class_activations(net, ds, layer=1, class_id=0, cap=10, seed=9)
     assert d1.activations.shape == (10, 4)
     assert np.array_equal(d1.activations, d2.activations)
+    assert not d1.activations.flags.writeable
+    # layer 0 is the input: the same drawn rows, read-only, with no net needed
+    rows = ds.rows(ds.sample_class_indices(0, 10, 9))
+    for source in (net, None):
+        d0 = mlp.extract_class_activations(source, ds, layer=0, class_id=0, cap=10, seed=9)
+        assert d0.layer == 0 and d0.activations.shape == (10, 2)
+        assert np.array_equal(d0.activations, rows)
+        assert not d0.activations.flags.writeable
+    assert np.array_equal(mlp.forward(net, rows)[0][0], d1.activations)
 
 
 def test_extract_missing_class_errors():
