@@ -8,8 +8,17 @@ keeps the 2-class formulas well-defined.
 Layer indexing: an architecture with widths [n_0, ..., n_l] has l affine
 maps; layer i holds the inputs of affine map i (layer 0 is the data).  The
 polynomial-activation bound is defined for 0 <= i <= l-1, the ReLU bound
-for 1 <= i <= l-1, and the width sum in the ReLU bound runs over
-q in {i, ..., l-1} (the class count n_l never participates).
+for 1 <= i <= l-1.  With n = n_l classes, both bounds on b_k at layer i
+build on the class sum
+
+    A(s) = sum over p = 0..min(k, n-2) of C(n-1, p+1)(3^(s+n-2-p) - 1).
+
+The ReLU bound is A(n_i + ... + n_(l-1)), a width sum without the class
+count.  The polynomial bound, degree r, is A(0) + [k >= n-2], times
+Milnor's factor d(2d-1)^(n_i - 1) with d = r(l-i-1) below layer l-1 (on
+layer l-1 the logits are affine in the layer variables).  Both are
+nondecreasing in n_i, as 3^(n_i) and (2d-1)^(n_i) are, so ``min_width_for``
+binary-searches the free width.
 
 Everything here is a pure function of immutable inputs and safe to
 evaluate in parallel.
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -93,7 +102,7 @@ class ArchitectureSpec:
 
     @property
     def non_increasing(self) -> bool:
-        return all(self.widths[p] <= self.widths[q] for q in range(len(self.widths)) for p in range(q, len(self.widths)))
+        return all(a >= b for a, b in zip(self.widths, self.widths[1:]))
 
 
 def binomial(a: int, b: int) -> int:
@@ -114,22 +123,6 @@ def log10_of_int(x: int) -> float:
     return (len(s) - 15) + math.log10(head) if len(s) > 15 else math.log10(x)
 
 
-def _check_nonincreasing(arch: ArchitectureSpec):
-    if not arch.non_increasing:
-        warnings.warn(
-            "bound formulas assume a non-increasing architecture; "
-            f"widths {arch.widths} violate it and the value is only heuristic",
-            stacklevel=3,
-        )
-
-
-def _poly_sum(n: int, k: int) -> int:
-    """Sum of C(n-1, p+1)(3^(n-2-p) - 1), capped by the k >= n-2 branch."""
-    if k < n - 2:
-        return sum(binomial(n - 1, p + 1) * (3 ** (n - 2 - p) - 1) for p in range(k + 1))
-    return sum(binomial(n - 1, p + 1) * (3 ** (n - 2 - p) - 1) for p in range(n - 2)) + 1
-
-
 def _layers(arch: ArchitectureSpec) -> range:
     """The layers with a bound: 1..l-1 for ReLU, 0..l-1 for a polynomial."""
     return range(1 if arch.activation.kind == "relu" else 0, arch.depth)
@@ -140,59 +133,55 @@ def _check_layer(arch: ArchitectureSpec, layer: int):
         raise ValueError(f"layer must be in {_layers(arch).start}..{arch.depth - 1}, got {layer}")
 
 
-def poly_layer_bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
-    """Upper bound on the k-th Betti number of the layer-``layer`` class
-    pre-image closure, polynomial activation of degree r.
-
-    For layer < l-1 the combinatorial sum is multiplied by
-    r(l-i-1)(2r(l-i-1)-1)^(n_i - 1); on layer l-1 the logits are affine in
-    the layer variables and the factor disappears.
-    """
-    if arch.activation.kind != "poly":
-        raise WrongActivationError("polynomial bound requires a polynomial-activation architecture")
-    l = arch.depth
+def _check_bound_args(arch: ArchitectureSpec, kind: str, k: int, layer: int):
+    """The checks of a layer bound of activation ``kind``; the warning
+    names the bound's caller."""
+    if arch.activation.kind != kind:
+        name = {"relu": "ReLU", "poly": "polynomial"}[kind]
+        raise WrongActivationError(f"{name} bound requires a {name}-activation architecture")
     _check_layer(arch, layer)
     if k < 0:
         raise ValueError("homology dimension must be >= 0")
-    _check_nonincreasing(arch)
-    n = arch.classes
-    base = _poly_sum(n, k)
+    if not arch.non_increasing:
+        warnings.warn(
+            "bound formulas assume a non-increasing architecture; "
+            f"widths {arch.widths} violate it and the value is only heuristic",
+            stacklevel=3,
+        )
+
+
+def _class_sum(n: int, k: int, s: int) -> int:
+    """Sum over p = 0..min(k, n-2) of C(n-1, p+1)(3^(s+n-2-p) - 1)."""
+    return sum(binomial(n - 1, p + 1) * (3 ** (s + n - 2 - p) - 1) for p in range(min(k, n - 2) + 1))
+
+
+def poly_layer_bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
+    """Upper bound on the k-th Betti number of the layer-``layer`` class
+    pre-image closure, polynomial activation (formula in the module
+    docstring)."""
+    _check_bound_args(arch, "poly", k, layer)
+    n, l = arch.classes, arch.depth
+    # for k >= n-2 the formula sums p = 0..n-3 and adds 1; the p = n-2 term is 0
+    base = _class_sum(n, k, 0) + (k >= n - 2)
     if layer == l - 1:
         return base
-    r = arch.activation.degree
-    d = r * (l - layer - 1)
-    n_i = arch.widths[layer]
-    return base * d * (2 * d - 1) ** (n_i - 1)
+    return base * milnor_bound(arch.widths[layer], arch.activation.degree * (l - layer - 1))
 
 
 def relu_layer_bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
     """Upper bound on the k-th Betti number of the layer-``layer`` class
-    pre-image closure, ReLU activation.
-
-    Evaluates sum over p = 0..min(k, n-2) of
-    C(n-1, p+1)(3^(S + n - 2 - p) - 1) with S the sum of the widths of
-    layers ``layer``..l-1.
-    """
-    if arch.activation.kind != "relu":
-        raise WrongActivationError("ReLU bound requires a ReLU-activation architecture")
-    l = arch.depth
-    _check_layer(arch, layer)
-    if k < 0:
-        raise ValueError("homology dimension must be >= 0")
-    _check_nonincreasing(arch)
-    n = arch.classes
-    s = sum(arch.widths[layer:l])
-    cap = min(k, n - 2)
-    return sum(binomial(n - 1, p + 1) * (3 ** (s + n - 2 - p) - 1) for p in range(cap + 1))
+    pre-image closure, ReLU activation (formula in the module docstring)."""
+    _check_bound_args(arch, "relu", k, layer)
+    return _class_sum(arch.classes, k, sum(arch.widths[layer : arch.depth]))
 
 
 def basu_bound(n_ineq: int, d: int, k: int) -> int:
     """Betti bound for a set cut out by n_ineq polynomial inequalities of
-    degree <= d inside a degree-<= d variety in k variables:
-    (3^n - 1) d (2d - 1)^(k-1)."""
+    degree <= d inside a degree-<= d variety in k variables: (3^n - 1)
+    times ``milnor_bound(k, d)``."""
     if n_ineq < 1 or d < 1 or k < 1:
         raise ValueError("need n_ineq >= 1, d >= 1, k >= 1")
-    return (3 ** n_ineq - 1) * d * (2 * d - 1) ** (k - 1)
+    return (3 ** n_ineq - 1) * milnor_bound(k, d)
 
 
 def milnor_bound(k: int, d: int) -> int:
@@ -239,15 +228,11 @@ class BoundReport:
     arch: ArchitectureSpec
     k: int
     entries: dict[int, int]  # layer -> exact bound
-    non_increasing_in_layer: bool = field(init=False)
 
-    def __post_init__(self):
-        layers = sorted(self.entries)
-        mono = all(
-            self.entries[layers[t]] >= self.entries[layers[t + 1]]
-            for t in range(len(layers) - 1)
-        )
-        object.__setattr__(self, "non_increasing_in_layer", mono)
+    @property
+    def non_increasing_in_layer(self) -> bool:
+        vals = [self.entries[layer] for layer in sorted(self.entries)]
+        return all(a >= b for a, b in zip(vals, vals[1:]))
 
     def records(self) -> list[str]:
         """Machine-readable lines ``layer,k,bound_exact,bound_log10``."""
@@ -270,10 +255,15 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
+def _bound(arch: ArchitectureSpec, k: int, layer: int) -> int:
+    """The layer bound of the architecture's activation."""
+    bound = relu_layer_bound if arch.activation.kind == "relu" else poly_layer_bound
+    return bound(arch, k, layer)
+
+
 def layer_bound_profile(arch: ArchitectureSpec, k: int) -> BoundReport:
     """Bound for every admissible layer of the architecture."""
-    bound = relu_layer_bound if arch.activation.kind == "relu" else poly_layer_bound
-    return BoundReport(arch=arch, k=k, entries={i: bound(arch, k, i) for i in _layers(arch)})
+    return BoundReport(arch=arch, k=k, entries={i: _bound(arch, k, i) for i in _layers(arch)})
 
 
 def _bound_with_width(arch: ArchitectureSpec, layer: int, k: int, width: int) -> int:
@@ -282,9 +272,7 @@ def _bound_with_width(arch: ArchitectureSpec, layer: int, k: int, width: int) ->
     probe = ArchitectureSpec(widths=tuple(widths), activation=arch.activation)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if arch.activation.kind == "relu":
-            return relu_layer_bound(probe, k, layer)
-        return poly_layer_bound(probe, k, layer)
+        return _bound(probe, k, layer)
 
 
 def min_width_for(
@@ -296,21 +284,19 @@ def min_width_for(
 ) -> int:
     """Smallest width at ``layer`` whose layer bound reaches ``target``.
 
-    The bound must be monotone nondecreasing in the free width; this is
-    asserted by sampling before searching.  Raises UnreachableTargetError
-    (carrying the bound at the cap) if the cap is insufficient.
+    Both bounds are nondecreasing in the free width (see the module
+    docstring), so a binary search over 1..cap finds it.  Raises
+    UnreachableTargetError (carrying the bound at the cap) if the cap is
+    insufficient.
     """
     if target < 0:
         raise ValueError("target must be nonnegative")
     _check_layer(arch_template, layer)
-    samples = [1, 2, 4, min(cap, 32), cap]
-    values = [_bound_with_width(arch_template, layer, k, w) for w in samples]
-    if any(values[t] > values[t + 1] for t in range(len(values) - 1)):
-        raise ValueError("bound is not monotone in the free width; cannot search")
-    if values[-1] < target:
+    at_cap = _bound_with_width(arch_template, layer, k, cap)
+    if at_cap < target:
         raise UnreachableTargetError(
-            f"target {target} unreachable with width cap {cap}: bound at cap is {values[-1]}",
-            bound_at_cap=values[-1],
+            f"target {target} unreachable with width cap {cap}: bound at cap is {at_cap}",
+            bound_at_cap=at_cap,
             cap=cap,
         )
     lo, hi = 1, cap

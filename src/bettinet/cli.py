@@ -52,8 +52,13 @@ _parse_int_list = _checked(
     lambda _: True,
     "comma-separated integers",
 )
-_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_class_cap = _checked(int, lambda v: v >= 2, "an integer >= 2")
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_positive_int = _int_at_least(1)
 _finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "a finite number >= 0")
 
 
@@ -175,6 +180,8 @@ def _write_profile_files(out: Path, tag: str, profile):
 
 
 def cmd_analyze(args, out: Path) -> int:
+    import warnings
+
     from . import advisor, mlp
 
     dataset = _load_dataset(args.data, args.label_col)
@@ -182,7 +189,9 @@ def cmd_analyze(args, out: Path) -> int:
     sample = dict(per_class_cap=args.cap, seed=args.seed, jobs=args.jobs)
     # the layer first, so that a layer the net lacks fails before any homology
     lay = advisor.layer_profile(net, dataset, args.layer, **sample)
-    inp = advisor.layer_profile(None, dataset, 0, **sample)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the layer profile warned of any skipped class
+        inp = advisor.layer_profile(None, dataset, 0, **sample)
     _warn_training_accuracy("analyze reads only --data")
     acc = mlp.evaluate_accuracy(net, dataset)
     report = advisor.compare_profiles(inp, lay, threshold_fraction=args.threshold, accuracy=acc)
@@ -249,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="closed-form per-layer Betti bound table")
     p.add_argument("--widths", type=_parse_int_list, required=True, help="n_0,...,n_{l-1}")
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=_int_at_least(2), required=True)
     p.add_argument("--act", choices=["relu", "poly"], required=True)
-    p.add_argument("--degree", type=int, default=2, help="polynomial activation degree")
-    p.add_argument("--k", type=int, default=0, help="homology dimension")
+    p.add_argument("--degree", type=_positive_int, default=2, help="polynomial activation degree")
+    p.add_argument("--k", type=_int_at_least(0), default=0, help="homology dimension")
     p.add_argument(
         "--min-width-target",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         help="also report the smallest width whose layer bound reaches this count",
     )
@@ -291,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--layer", type=_positive_int, required=True)
-    p.add_argument("--cap", type=_class_cap, default=DEFAULT_CLASS_CAP)
+    p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_CLASS_CAP)
     p.add_argument("--threshold", type=_finite_nonnegative, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)
@@ -302,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", type=_parse_int_list, required=True)
     p.add_argument("--seeds", type=_parse_int_list, required=True)
     add_training_flags(p)
-    p.add_argument("--layer", type=int, default=None)
-    p.add_argument("--cap", type=_class_cap, default=DEFAULT_CLASS_CAP)
+    p.add_argument("--layer", type=_positive_int, default=None)
+    p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_CLASS_CAP)
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="no effect: sweep computes only b0, serially"
     )

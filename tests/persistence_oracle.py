@@ -5,7 +5,9 @@ Quadratic and allocation-heavy by design."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,18 +38,17 @@ class Simplex:
 
 
 def simplices(filt: H.Filtration) -> list[Simplex]:
-    """All simplices of the filtration in global filtration order, the
-    unstored top dimension built here."""
-    verts, births = list(filt.verts_by_dim), list(filt.births_by_dim)
-    adj = filt.edge_rank < len(filt.edge_lengths)
-    cols = list(verts[-1].T)
-    cols, ranks = H._extend_cliques(cols, H._birth_ranks(filt, filt.max_dim), adj, filt.edge_rank)
-    verts.append(np.column_stack(cols))
-    births.append(filt.edge_lengths[ranks])
+    """All simplices of the filtration in global filtration order.  The
+    unstored top dimension is built here, by ``_clique_simplices`` on the
+    filtration's edges, each clique born with its longest edge."""
     items: list[tuple[float, int, tuple[int, ...]]] = []
-    for d, (vs, bs) in enumerate(zip(verts, births)):
+    for d, (vs, bs) in enumerate(zip(filt.verts_by_dim, filt.births_by_dim)):
         for row, birth in zip(vs, bs):
             items.append((float(birth), d, tuple(int(v) for v in row)))
+    adj = filt.edge_rank < len(filt.edge_lengths)
+    for s in _clique_simplices(adj, filt.top_dim)[filt.top_dim]:
+        birth = max(filt.edge_lengths[filt.edge_rank[u, v]] for u, v in combinations(s, 2))
+        items.append((float(birth), filt.top_dim, s))
     items.sort()
     return [Simplex(vertices=v, birth=b) for b, _, v in items]
 
@@ -144,14 +145,14 @@ def reference_persistence(filt: H.Filtration) -> H.Barcode:
         elif i not in paired_cols:
             essential += 1
             bars.setdefault(matrix.dims[i], []).append(H.Interval(matrix.births[i], None))
-    return H._assemble_barcode(
-        bars,
-        n_simplices=m,
-        paired=paired,
-        essential=essential,
-        max_radius=filt.max_radius,
-        report_dims=range(filt.max_dim + 1),
-    )
+    # zero-length bars dropped; by birth, then death with infinity last
+    intervals = {
+        d: tuple(sorted((iv for iv in bars.get(d, []) if iv.death != iv.birth),
+                        key=lambda iv: (iv.birth, math.inf if iv.death is None else iv.death)))
+        for d in range(filt.max_dim + 1)
+    }
+    return H.Barcode(intervals=intervals, n_simplices=m, paired_count=paired,
+                     essential_count=essential, max_radius=filt.max_radius)
 
 
 # ---------------------------------------------------------------------------

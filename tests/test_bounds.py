@@ -277,6 +277,52 @@ def test_min_width_examples():
     assert err.value.bound_at_cap == 3**4 - 1
 
 
+def _scan_case(rng, caps):
+    """A random template, k and cap, and the oracle bound at each width
+    1..cap of the free layer."""
+    l = int(rng.integers(2, 5))
+    n = int(rng.integers(2, 5))
+    widths = [int(w) for w in rng.integers(1, 6, size=l)] + [n]
+    k = int(rng.integers(0, 4))
+    cap = int(rng.choice(caps))
+    relu = rng.random() < 0.5
+    r = int(rng.integers(1, 4))
+    layer = int(rng.integers(1 if relu else 0, l))
+    template = relu_arch(widths) if relu else poly_arch(widths, r)
+    scan = []
+    for w in range(1, cap + 1):
+        probe = widths[:layer] + [w] + widths[layer + 1 :]
+        scan.append(oracle_relu_bound(probe, k, layer) if relu else oracle_poly_bound(probe, r, k, layer))
+    return template, layer, k, cap, scan
+
+
+def _assert_min_width_is_the_scan(template, layer, k, cap, scan):
+    for target in sorted({0, scan[0], scan[0] + 1, scan[len(scan) // 2], scan[-1], scan[-1] + 1}):
+        reached = [w for w, b in enumerate(scan, start=1) if b >= target]
+        if reached:
+            assert min_width_for(template, layer, k, target, cap) == reached[0]
+        else:
+            with pytest.raises(UnreachableTargetError) as err:
+                min_width_for(template, layer, k, target, cap)
+            assert (err.value.bound_at_cap, err.value.cap) == (scan[-1], cap)
+
+
+def test_min_width_is_the_first_width_of_a_linear_scan():
+    rng = np.random.default_rng(5)
+    kinds = set()
+    for _ in range(300):
+        template, layer, k, cap, scan = _scan_case(rng, caps=[4, 5, 8, 13, 32])
+        kinds.add(template.activation.kind)
+        _assert_min_width_is_the_scan(template, layer, k, cap, scan)
+    assert kinds == {"relu", "poly"}
+
+
+def test_min_width_below_a_cap_of_4_is_the_scan_too():
+    rng = np.random.default_rng(6)
+    for _ in range(100):
+        _assert_min_width_is_the_scan(*_scan_case(rng, caps=[1, 2, 3]))
+
+
 def test_binomial_conventions():
     assert binomial(5, 7) == 0
     assert binomial(5, -1) == 0

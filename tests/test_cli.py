@@ -222,6 +222,18 @@ def test_sweep_row_count(idx_dir, tmp_path):
     assert len(rows) == 9
 
 
+def test_train_and_sweep_with_a_polynomial_activation(idx_dir, tmp_path):
+    common = ["--data", str(idx_dir), "--widths", "3", "--epochs", "1", "--act", "poly",
+              "--degree", "3", "--lr", "0.01"]
+    assert main(["train", *common, "--out", str(tmp_path / "t")]) == 0
+    net = mlp.load_checkpoint(tmp_path / "t" / "checkpoint.json")
+    assert (net.activation.kind, net.activation.coeffs) == ("poly", (0.0, 0.0, 0.0, 1.0))
+    argv = ["sweep", *common, "--seeds", "1,2", "--cap", "10", "--out", str(tmp_path / "s")]
+    assert main(argv) == 0
+    assert len((tmp_path / "s" / "sweep.csv").read_text().splitlines()) == 2
+    assert "act=poly" in (tmp_path / "s" / "config.echo").read_text().splitlines()
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 @pytest.mark.parametrize(
     "flag, value",
@@ -526,6 +538,24 @@ def test_sweep_checks_the_classes_before_training(tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().err == "error: no class has two points to profile\n"
 
 
+def test_analyze_warns_once_of_a_skipped_class(tmp_path):
+    # in a fresh interpreter, as the console shows it: under pytest the
+    # warnings would be recorded, not printed
+    csv = tmp_path / "singleton.csv"
+    csv.write_text("0,0,0\n1,0,0\n2,1,0\n0,1,1\n")
+    checkpoint = tmp_path / "relu.json"
+    mlp.save_checkpoint(mlp.build_network([2, 3, 2], mlp.relu_activation(), seed=1), checkpoint)
+    src = str(Path(bettinet.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import bettinet.cli; sys.exit(bettinet.cli.main())"
+    argv = ["analyze", "--data", str(csv), "--checkpoint", str(checkpoint), "--layer", "1",
+            "--cap", "2", "--out", str(tmp_path / "a")]
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.count("class 1 has 1 point(s); skipped") == 1
+    assert (tmp_path / "a" / "input_class_0.csv").exists()
+    assert not (tmp_path / "a" / "input_class_1.csv").exists()
+
+
 def test_analyze_fails_on_a_missing_layer_before_any_homology(
     idx_dir, idx_checkpoint, tmp_path, capsys, monkeypatch
 ):
@@ -589,24 +619,44 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "argument --cap: expected an integer >= 2, got '1'"),
         ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --cap 1", 2,
          "argument --cap: expected an integer >= 2, got '1'"),
+        ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --layer 0", 2,
+         "argument --layer: expected an integer >= 1, got '0'"),
+        ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --layer 4", 1,
+         "layer must be in 1..3, got 4"),
+        ("bounds --widths 8,4,3 --classes 3 --act relu --k -1", 2,
+         "argument --k: expected an integer >= 0, got '-1'"),
+        ("bounds --widths 8,4,3 --classes 1 --act relu", 2,
+         "argument --classes: expected an integer >= 2, got '1'"),
+        ("bounds --widths 8,4,3 --classes 3 --act poly --degree 0", 2,
+         "argument --degree: expected an integer >= 1, got '0'"),
+        ("bounds --widths 8,4,3 --classes 3 --act relu --min-width-target -1", 2,
+         "argument --min-width-target: expected an integer >= 0, got '-1'"),
+        ("bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 1 --free-layer 3", 1,
+         "layer must be in 1..2, got 3"),
+        ("train --data MISMATCHED_IDX --widths 2 --epochs 1", 1, "image/label counts differ"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
          "checkpoint-json-list", "max-dim-3", "max-dim--1", "max-radius-0", "max-radius-nan",
          "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",
-         "analyze-layer-4", "analyze-cap-1", "sweep-cap-1"],
+         "analyze-layer-4", "analyze-cap-1", "sweep-cap-1", "sweep-layer-0", "sweep-layer-4",
+         "bounds-k--1", "bounds-classes-1", "bounds-degree-0", "bounds-target--1",
+         "bounds-free-layer-3", "idx-counts-differ"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
              "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv",
              "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
-             "SINGLETONS": tmp_path / "singletons.csv"}
+             "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
     files["JSON_LIST"].write_text("[1, 2]\n")
     files["HUGE_LABEL"].write_text("0,0,0\n1,1,1e18\n2,0,1\n")
     files["SINGLETONS"].write_text("0,0,0\n1,1,1\n2,0,2\n")
+    files["MISMATCHED_IDX"].mkdir()
+    data.write_idx_images(files["MISMATCHED_IDX"] / "train-images-idx3-ubyte", np.zeros((3, 4)), 2, 2)
+    data.write_idx_labels(files["MISMATCHED_IDX"] / "train-labels-idx1-ubyte", [0, 1])
     argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
     try:
         rc = main(argv)

@@ -29,8 +29,11 @@ def test_idx_magic_mismatch(tmp_path):
 def test_idx_truncated_payload(tmp_path):
     p = tmp_path / "short"
     p.write_bytes(struct.pack(">iiii", data.IDX_IMAGE_MAGIC, 2, 2, 2) + b"\x00" * 3)
-    with pytest.raises(data.FormatError, match="truncated"):
+    with pytest.raises(data.FormatError, match="truncated image payload"):
         data.load_idx_images(p)
+    p.write_bytes(struct.pack(">ii", data.IDX_LABEL_MAGIC, 5) + b"\x00" * 4)
+    with pytest.raises(data.FormatError, match="truncated label payload"):
+        data.load_idx_labels(p)
 
 
 def test_idx_dataset_pair(tmp_path):
