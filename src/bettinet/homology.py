@@ -71,6 +71,10 @@ FILTRATION_SIZE_GUARD = 20_000_000
 # n**(max_dim+2) must not pass this.  With all n(n-1)/2 edge lengths
 # distinct, that happens from 7 132 points at dim 1 and 1 626 at dim 2.
 _KEY_LIMIT = np.iinfo(np.int64).max
+# Cells of one row block of ``pairwise_distances``: 512 KB of partial sums
+# and as much of squared differences, which stay in cache through the
+# coordinate loop.
+_DISTANCE_BLOCK = 1 << 16
 
 DIM_COLORS = {0: "red", 1: "blue", 2: "green"}
 
@@ -141,15 +145,28 @@ def pairwise_distances(points) -> np.ndarray:
     ``squareform(pdist(points))``: the squared coordinate differences are
     summed one coordinate at a time, in order, and each sum is rounded once
     by the square root.  Symmetry and the zero diagonal are exact, because
-    x_i - x_j is exactly -(x_j - x_i)."""
-    cloud = as_point_cloud(points)
-    n = cloud.shape[0]
+    x_i - x_j is exactly -(x_j - x_i).
+
+    The sums run over blocks of rows, each of about ``_DISTANCE_BLOCK``
+    cells, so that a block's partial sums stay in cache through the
+    coordinate loop.  A block fills only the columns from its first row on;
+    the rest of its columns are mirrored from the rows above, which is exact
+    because (a - b)**2 == (b - a)**2.  A cloud of at most 256 points is one block.
+    """
+    coords = np.ascontiguousarray(as_point_cloud(points).T)  # a row per coordinate
+    n = coords.shape[1]
     out = np.zeros((n, n))
-    diff = np.empty((n, n))
-    for x in cloud.T:
-        np.subtract.outer(x, x, out=diff)
-        diff *= diff
-        out += diff
+    start = 0
+    while start < n:
+        stop = min(n, start + max(1, _DISTANCE_BLOCK // (n - start)))
+        sums = out[start:stop, start:]
+        diff = np.empty(sums.shape)
+        for x in coords:
+            np.subtract.outer(x[start:stop], x[start:], out=diff)
+            diff *= diff
+            sums += diff
+        out[stop:, start:stop] = sums[:, stop - start :].T
+        start = stop
     np.sqrt(out, out=out)
     out.flags.writeable = False
     return out
@@ -390,8 +407,7 @@ def _assemble_barcode(
 ) -> Barcode:
     intervals = {}
     for d in report_dims:
-        ivs = [iv for iv in bars.get(d, []) if iv.is_infinite or iv.death != iv.birth]
-        intervals[d] = tuple(sorted(ivs, key=_interval_sort_key))
+        intervals[d] = tuple(sorted(bars.get(d, []), key=_interval_sort_key))
     return Barcode(
         intervals=intervals,
         n_simplices=n_simplices,

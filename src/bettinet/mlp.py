@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+# Rows that ``evaluate_accuracy`` decodes and forwards at a time.
+EVAL_BLOCK_ROWS = 256
 
 
 class TrainingDivergedError(RuntimeError):
@@ -211,9 +213,12 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(1, -1)
-    widths = net.widths
-    if x.shape[1] != widths[from_layer]:
-        raise ValueError(f"expected width {widths[from_layer]} at layer {from_layer}, got {x.shape[1]}")
+    if not 0 <= from_layer < net.depth:
+        raise ValueError(f"from_layer must be in 0..{net.depth - 1}")
+    first = net.hidden[from_layer].dense if from_layer < len(net.hidden) else net.output
+    width = first.weight.shape[1]
+    if x.shape[1] != width:
+        raise ValueError(f"expected width {width} at layer {from_layer}, got {x.shape[1]}")
     activations = []
     for block in net.hidden[from_layer:]:
         z = x @ block.dense.weight.T + block.dense.bias
@@ -498,8 +503,20 @@ def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:
 
 
 def evaluate_accuracy(net: Network, dataset: Dataset) -> float:
-    _, _, probs = forward(net, dataset.rows())
-    return float(np.mean(probs.argmax(axis=1) == dataset.labels))
+    """Share of the rows of ``dataset`` whose most probable class (inference
+    mode) is their label.
+
+    The rows are decoded and forwarded ``EVAL_BLOCK_ROWS`` at a time, so the
+    memory held does not grow with the split.  BLAS may round a block's
+    products in other last bits than one whole-split product's, which can
+    move an argmax only at a near tie.
+    """
+    correct = 0
+    for start in range(0, len(dataset), EVAL_BLOCK_ROWS):
+        block = slice(start, start + EVAL_BLOCK_ROWS)
+        _, _, probs = forward(net, dataset.rows(block))
+        correct += int(np.count_nonzero(probs.argmax(axis=1) == dataset.labels[block]))
+    return correct / len(dataset)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ def test_pairwise_distances_equal_scipy_bit_for_bit():
         duplicates,
         rng.normal(size=(1, 4)),
         rng.normal(size=(2, 4)),
+        rng.normal(size=(600, 5)),  # several row blocks
     ]
     for pts in clouds:
         d = H.pairwise_distances(pts)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,9 +51,14 @@ def test_forward_hand_set_logits():
 
 
 def test_forward_shape_mismatch():
-    net = mlp.build_network([3, 3, 2], mlp.relu_activation(), seed=0)
-    with pytest.raises(ValueError):
+    net = mlp.build_network([3, 5, 4, 2], mlp.relu_activation(), seed=0)
+    with pytest.raises(ValueError, match="^expected width 3 at layer 0, got 4$"):
         mlp.forward(net, np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="^expected width 4 at layer 2, got 5$"):
+        mlp.forward(net, np.zeros((2, 5)), from_layer=2)
+    for from_layer in (-1, 3):
+        with pytest.raises(ValueError, match=r"from_layer must be in 0\.\.2"):
+            mlp.forward(net, np.zeros((2, 4)), from_layer=from_layer)
 
 
 def test_softmax_invariance_under_logit_shift():
@@ -252,6 +259,32 @@ def test_gradient_check_poly_square_activation():
     x = rng.normal(size=(5, 3))
     y = rng.integers(0, 2, size=5)
     assert sgd_oracle.gradient_check(net, x, y) < 1e-4
+
+
+def test_evaluate_accuracy_in_blocks_counts_as_one_whole_split_pass():
+    train, test = make_image_dataset(200, 3 * mlp.EVAL_BLOCK_ROWS + 77, seed=6, side=6, classes=4)
+    assert len(test) % mlp.EVAL_BLOCK_ROWS
+    net = mlp.build_network([36, 8, 8, 4], mlp.relu_activation(), seed=2)
+    mlp.train_sgd(net, train, mlp.TrainConfig(epochs=2, lr=0.1, batch_size=16, seed=1))
+    _, _, probs = mlp.forward(net, test.rows())
+    correct = np.count_nonzero(probs.argmax(axis=1) == test.labels)
+    assert 0 < correct < len(test)
+    assert mlp.evaluate_accuracy(net, test) == correct / len(test)
+
+
+def test_evaluate_accuracy_memory_does_not_grow_with_the_split():
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, size=(20_000, 784), dtype=np.uint8)
+    split = Dataset(pixels=pixels, labels=rng.integers(0, 10, size=20_000), n_classes=10)
+    net = mlp.build_network([784, 64, 64, 64, 10], mlp.relu_activation(), seed=0)
+    tracemalloc.start()
+    try:
+        mlp.evaluate_accuracy(net, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one whole-split pass decodes 125 MB of float64 rows
+    assert peak < 8 * 2**20
 
 
 def test_extract_class_activations_cap_and_determinism():
