@@ -70,6 +70,8 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MIN_RADIUS = 1e-3
+# hidden layers of every ``width_sweep`` net
+SWEEP_HIDDEN_LAYERS = 3
 
 
 @dataclass(frozen=True)
@@ -99,9 +101,9 @@ class ClassProfile:
         return max(c.b0_at_min_radius for c in self.curves.values())
 
 
-def default_radius_grid(max_distance: float, size: int = DEFAULT_GRID_SIZE) -> np.ndarray:
+def default_radius_grid(max_distance: float) -> np.ndarray:
     top = max(float(max_distance), DEFAULT_MIN_RADIUS * 2)
-    return np.geomspace(DEFAULT_MIN_RADIUS, top, size)
+    return np.geomspace(DEFAULT_MIN_RADIUS, top, DEFAULT_GRID_SIZE)
 
 
 def _curves_for_cloud(args) -> ClassCurves:
@@ -281,13 +283,12 @@ def width_sweep(
     epochs: int = 5,
     lr: float = 0.1,
     batch_size: int = 32,
-    hidden_layers: int = 3,
     layer: Optional[int] = None,
     per_class_cap: int = DEFAULT_CLASS_CAP,
-    radius_grid: Optional[np.ndarray] = None,
 ) -> SweepResult:
-    """Train an equal-width net per (width, seed), evaluate accuracy and
-    the max-over-classes b0 at minimum radius of the chosen layer.
+    """Train an equal-width net of ``SWEEP_HIDDEN_LAYERS`` hidden layers per
+    (width, seed), evaluate accuracy and the max-over-classes b0 at minimum
+    radius of the chosen layer (default: the last hidden layer).
 
     The nets of one width train together, one per seed, in one
     ``train_sgd_stack`` call; each ends with the weights ``train_sgd`` gives
@@ -305,15 +306,15 @@ def width_sweep(
     if not seeds:
         raise ValueError("need at least one seed")
     if layer is None:
-        layer = hidden_layers
-    if not 1 <= layer <= hidden_layers:
-        raise ValueError(f"layer must be in 1..{hidden_layers}, got {layer}")
+        layer = SWEEP_HIDDEN_LAYERS
+    if not 1 <= layer <= SWEEP_HIDDEN_LAYERS:
+        raise ValueError(f"layer must be in 1..{SWEEP_HIDDEN_LAYERS}, got {layer}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # each row's layer_profile warns of skipped classes
         _profiled_classes(train_dataset, per_class_cap)  # fail before any training
     rows = []
     for width in widths:
-        shape = [train_dataset.dim] + [int(width)] * hidden_layers + [train_dataset.n_classes]
+        shape = [train_dataset.dim] + [int(width)] * SWEEP_HIDDEN_LAYERS + [train_dataset.n_classes]
         nets = [build_network(shape, activation, seed=seed, batch_norm=True) for seed in seeds]
         configs = [
             TrainConfig(epochs=epochs, lr=lr, batch_size=batch_size, seed=seed) for seed in seeds
@@ -331,7 +332,6 @@ def width_sweep(
                         train_dataset,
                         layer=layer,
                         per_class_cap=per_class_cap,
-                        radius_grid=radius_grid,
                         seed=seed,
                         max_dim=0,
                     )

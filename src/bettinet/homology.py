@@ -40,7 +40,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,7 +61,6 @@ __all__ = [
     "betti_curve",
     "b0_curve",
     "barcode_to_text",
-    "barcode_from_text",
     "barcode_svg",
 ]
 
@@ -393,30 +392,6 @@ class Barcode:
         return tuple(sorted(self.intervals))
 
 
-def _interval_sort_key(iv: Interval):
-    return (iv.birth, iv.death is None, iv.death if iv.death is not None else 0.0)
-
-
-def _assemble_barcode(
-    bars: dict[int, list[Interval]],
-    n_simplices: int,
-    paired: int,
-    essential: int,
-    max_radius: float,
-    report_dims: Iterable[int],
-) -> Barcode:
-    intervals = {}
-    for d in report_dims:
-        intervals[d] = tuple(sorted(bars.get(d, []), key=_interval_sort_key))
-    return Barcode(
-        intervals=intervals,
-        n_simplices=n_simplices,
-        paired_count=paired,
-        essential_count=essential,
-        max_radius=max_radius,
-    )
-
-
 # ---------------------------------------------------------------------------
 # persistence: optimized kernel
 # ---------------------------------------------------------------------------
@@ -723,13 +698,15 @@ def compute_persistence(filt: Filtration) -> Barcode:
     # top-dimensional simplices that were not killed are essential classes
     # in an unreported dimension; they still enter the simplex accounting
     essential += filt.top_count - len(killed)
-    return _assemble_barcode(
-        bars,
+    return Barcode(
+        intervals={
+            d: tuple(sorted(ivs, key=lambda iv: (iv.birth, iv.is_infinite, iv.death or 0.0)))
+            for d, ivs in bars.items()
+        },
         n_simplices=filt.simplex_count,
-        paired=paired,
-        essential=essential,
+        paired_count=paired,
+        essential_count=essential,
         max_radius=filt.max_radius,
-        report_dims=range(filt.max_dim + 1),
     )
 
 
@@ -838,24 +815,9 @@ def barcode_to_text(barcode: Barcode) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def barcode_from_text(text: str) -> dict[int, list[Interval]]:
-    intervals: dict[int, list[Interval]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"line {lineno}: expected dim,birth,death")
-        d = int(parts[0])
-        birth = float(parts[1])
-        death = None if parts[2] == "inf" else float(parts[2])
-        intervals.setdefault(d, []).append(Interval(birth, death))
-    return intervals
-
-
-def barcode_svg(barcode: Barcode, width: int = 640, bar_height: int = 6, pad: int = 24) -> str:
+def barcode_svg(barcode: Barcode) -> str:
     """Barcode plot as an SVG string: red bars for dim 0, blue for dim 1."""
+    width, bar_height, pad = 640, 6, 24  # pixels: plot width, bar height, margin
     bars = [(d, iv) for d in barcode.dims() for iv in barcode.intervals[d]]
     finite = [iv.death for _, iv in bars if iv.death is not None]
     births = [iv.birth for _, iv in bars]

@@ -50,10 +50,16 @@ __all__ = [
 
 RANK_TOLERANCE = 1e-8
 POSITIVITY_TOLERANCE = 1e-9
+# caps of ``compose_logit_polynomials``: the widest layer it composes
+# through, the most affine maps, and the most monomials stored at once
+WIDTH_CAP = 3
+DEPTH_CAP = 4
+MONOMIAL_CAP = 200_000
 
 
 class CompositionCapError(ValueError):
-    """Symbolic composition would exceed the configured size caps."""
+    """Symbolic composition would exceed a size cap (``WIDTH_CAP``,
+    ``DEPTH_CAP`` or ``MONOMIAL_CAP``)."""
 
     def __init__(self, message: str, monomial_count: int):
         super().__init__(message)
@@ -190,18 +196,12 @@ def _block_affines(net: Network):
     return out
 
 
-def compose_logit_polynomials(
-    net: Network,
-    from_layer: int = 0,
-    width_cap: int = 3,
-    depth_cap: int = 4,
-    monomial_cap: int = 200_000,
-) -> list[MultiPoly]:
+def compose_logit_polynomials(net: Network, from_layer: int = 0) -> list[MultiPoly]:
     """Exact symbolic logits of a polynomial-activation network as
     polynomials in the layer-``from_layer`` coordinates.
 
-    Guarded against monomial explosion: widths above ``width_cap``, more
-    than ``depth_cap`` affine maps, or more than ``monomial_cap`` stored
+    Guarded against monomial explosion: widths above ``WIDTH_CAP``, more
+    than ``DEPTH_CAP`` affine maps, or more than ``MONOMIAL_CAP`` stored
     monomials raise CompositionCapError naming the monomial count.
     """
     if net.activation.kind != "poly":
@@ -210,13 +210,13 @@ def compose_logit_polynomials(
     if not 0 <= from_layer <= net.depth - 1:
         raise ValueError(f"from_layer must be in 0..{net.depth - 1}")
     span = widths[from_layer:]
-    if max(span[:-1]) > width_cap:
+    if max(span[:-1]) > WIDTH_CAP:
         raise CompositionCapError(
-            f"widths {span} exceed the cap {width_cap}", monomial_count=0
+            f"widths {span} exceed the cap {WIDTH_CAP}", monomial_count=0
         )
-    if len(span) - 1 > depth_cap:
+    if len(span) - 1 > DEPTH_CAP:
         raise CompositionCapError(
-            f"{len(span) - 1} affine maps exceed the depth cap {depth_cap}", monomial_count=0
+            f"{len(span) - 1} affine maps exceed the depth cap {DEPTH_CAP}", monomial_count=0
         )
 
     n_vars = widths[from_layer]
@@ -232,9 +232,9 @@ def compose_logit_polynomials(
                     acc = acc + ps[col] * float(w[row, col])
             out.append(acc)
         total = sum(len(p) for p in out)
-        if total > monomial_cap:
+        if total > MONOMIAL_CAP:
             raise CompositionCapError(
-                f"composition grew to {total} monomials (cap {monomial_cap})",
+                f"composition grew to {total} monomials (cap {MONOMIAL_CAP})",
                 monomial_count=total,
             )
         return out

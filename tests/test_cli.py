@@ -1,4 +1,6 @@
 import json
+import os
+import struct
 import subprocess
 import sys
 import traceback
@@ -634,6 +636,8 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
         ("bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 1 --free-layer 3", 1,
          "layer must be in 1..2, got 3"),
         ("train --data MISMATCHED_IDX --widths 2 --epochs 1", 1, "image/label counts differ"),
+        ("train --data HUGE_IDX --widths 4 --epochs 1", 1,
+         "train-images-idx3-ubyte: the header claims 4611686014132420609 bytes, the file holds 0"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
@@ -641,13 +645,14 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",
          "analyze-layer-4", "analyze-cap-1", "sweep-cap-1", "sweep-layer-0", "sweep-layer-4",
          "bounds-k--1", "bounds-classes-1", "bounds-degree-0", "bounds-target--1",
-         "bounds-free-layer-3", "idx-counts-differ"],
+         "bounds-free-layer-3", "idx-counts-differ", "idx-header-too-large"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
              "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv",
              "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
-             "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched"}
+             "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched",
+             "HUGE_IDX": tmp_path / "huge"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
@@ -657,6 +662,9 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
     files["MISMATCHED_IDX"].mkdir()
     data.write_idx_images(files["MISMATCHED_IDX"] / "train-images-idx3-ubyte", np.zeros((3, 4)), 2, 2)
     data.write_idx_labels(files["MISMATCHED_IDX"] / "train-labels-idx1-ubyte", [0, 1])
+    files["HUGE_IDX"].mkdir()  # a header claiming (2^31 - 1)^2 one-pixel images
+    (files["HUGE_IDX"] / "train-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 2**31 - 1, 2**31 - 1, 1))
     argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
     try:
         rc = main(argv)
@@ -670,3 +678,14 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
     assert rc == code
     assert err.startswith("error: " if code == 1 else "usage: ")
     assert message in err
+
+
+def test_readme_library_quick_start_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env,
+                            cwd=root)
+    assert result.returncode == 0, result.stderr

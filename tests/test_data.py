@@ -36,6 +36,50 @@ def test_idx_truncated_payload(tmp_path):
         data.load_idx_labels(p)
 
 
+@pytest.mark.parametrize(
+    "magic, dims, payload, claimed",
+    [
+        (data.IDX_IMAGE_MAGIC, (2**31 - 1, 2**31 - 1, 1), 0, (2**31 - 1) ** 2),
+        (data.IDX_IMAGE_MAGIC, (-1, 28, 28), 784, (2**32 - 1) * 784),
+        (data.IDX_IMAGE_MAGIC, (2, -1, -1), 8, 2 * (2**32 - 1) ** 2),
+        (data.IDX_LABEL_MAGIC, (-1,), 5, 2**32 - 1),
+    ],
+    ids=["image-2^31-squared", "image-count--1", "image-rows-cols--1", "label-count--1"],
+)
+def test_idx_header_claiming_more_than_the_file_holds_is_a_format_error(
+    tmp_path, magic, dims, payload, claimed
+):
+    # dimensions are unsigned, and checked against the file before any read
+    p = tmp_path / "crafted"
+    p.write_bytes(struct.pack(f">I{len(dims)}i", magic, *dims) + b"\x00" * payload)
+    load = data.load_idx_images if magic == data.IDX_IMAGE_MAGIC else data.load_idx_labels
+    with pytest.raises(data.FormatError) as info:
+        load(p)
+    assert str(info.value) == (
+        f"truncated {'image' if magic == data.IDX_IMAGE_MAGIC else 'label'} payload in {p}: "
+        f"the header claims {claimed} bytes, the file holds {payload}"
+    )
+
+
+def test_write_idx_labels_refuses_labels_outside_a_byte(tmp_path):
+    p = tmp_path / "labels"
+    for labels in ([3, 300, -1], [256], [-1]):
+        with pytest.raises(ValueError, match=r"IDX labels must lie in 0\.\.255"):
+            data.write_idx_labels(p, labels)
+        assert not p.exists()
+    data.write_idx_labels(p, [0, 255])
+    assert data.load_idx_labels(p).tolist() == [0, 255]
+
+
+def test_idx_dataset_split_is_train_or_test(tmp_path):
+    train, _ = data.make_image_dataset(30, 10, seed=1, side=4, classes=3)
+    data.write_idx_images(tmp_path / "t10k-images-idx3-ubyte", train.features, 4, 4)
+    data.write_idx_labels(tmp_path / "t10k-labels-idx1-ubyte", train.labels)
+    assert len(data.load_idx_dataset(tmp_path, split="test")) == 30
+    with pytest.raises(ValueError, match=r'split must be "train" or "test", got \'validation\''):
+        data.load_idx_dataset(tmp_path, split="validation")
+
+
 def test_idx_dataset_pair(tmp_path):
     train, _ = data.make_image_dataset(30, 10, seed=1, side=4, classes=3)
     data.write_idx_images(tmp_path / "train-images-idx3-ubyte", train.features, 4, 4)

