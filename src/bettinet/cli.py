@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--class-j", type=int, required=True)
     p.add_argument("--alphas", type=_parse_int_list, required=True)
-    p.add_argument("--layer", type=int, required=True)
+    p.add_argument("--layer", type=_positive_int, required=True)
     p.add_argument("--count", type=_positive_int, default=20)
     p.add_argument(
         "--box",

@@ -10,7 +10,8 @@ caller asks for to float64 in [0, 1].  No other module knows the format.  A
 An IDX header is checked against its file before the payload is read: a
 wrong magic, or dimensions (read as unsigned) that claim more bytes than
 the file holds, raise FormatError naming the file, so a corrupt header
-never asks for the memory it claims.
+never asks for the memory it claims.  An image file of no images is a
+FormatError too.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def _read_idx(path, magic: int, kind: str) -> tuple[list[int], bytes]:
 
 
 def _read_idx_pixels(path) -> np.ndarray:
-    """(count, rows*cols) read-only uint8 view of an IDX image file's payload."""
+    """(count, rows*cols) read-only uint8 view of an IDX image file's payload;
+    a file of no images is a FormatError."""
     (count, rows, cols), payload = _read_idx(path, IDX_IMAGE_MAGIC, "image")
+    if count == 0:
+        raise FormatError(f"no images in {path}: the header's image count is 0")
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
 

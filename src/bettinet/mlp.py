@@ -428,44 +428,47 @@ def train_sgd_stack(
     results = [None] * len(nets)
     losses, accs = [[] for _ in nets], [[] for _ in nets]
     size = len(dataset)
-    for epoch in range(epochs):
-        order = np.stack([rngs[i].permutation(size) for i in alive])
-        epoch_loss = np.zeros(len(alive))
-        correct = np.zeros(len(alive), dtype=np.intp)
-        for start in range(0, size, batch_size):
-            idx = order[:, start : start + batch_size]
-            y = dataset.labels[idx]
-            x = dataset.rows(idx, out=batch[: idx.size * dataset.dim].reshape(*idx.shape, -1))
-            loss, probs = _loss_and_grads(
-                arrays[:n_params], eps, first.activation, x, y,
-                outputs[:n_params], outputs[n_params:],
-            )
-            diverged = np.isnan(loss)
-            if diverged.any():
-                for k in np.flatnonzero(diverged):
-                    _unstack(arrays, k, nets[alive[k]])
-                    results[alive[k]] = TrainingDivergedError(
-                        f"NaN loss at epoch {epoch}, batch starting {start}; "
-                        "try a smaller learning rate"
-                    )
-                keep = ~diverged
-                alive = [i for i, kept in zip(alive, keep) if kept]
-                if not alive:
-                    return results
-                state, scratch = state[keep], scratch[keep]
-                arrays, outputs = _views(state, shapes), _views(scratch, shapes)
-                order, y, loss, probs, epoch_loss, correct = (
-                    a[keep] for a in (order, y, loss, probs, epoch_loss, correct)
+    # a diverging step overflows before its loss turns NaN; the NaN check
+    # below is the diagnostic, so numpy's floating-point warnings are muted
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            order = np.stack([rngs[i].permutation(size) for i in alive])
+            epoch_loss = np.zeros(len(alive))
+            correct = np.zeros(len(alive), dtype=np.intp)
+            for start in range(0, size, batch_size):
+                idx = order[:, start : start + batch_size]
+                y = dataset.labels[idx]
+                x = dataset.rows(idx, out=batch[: idx.size * dataset.dim].reshape(*idx.shape, -1))
+                loss, probs = _loss_and_grads(
+                    arrays[:n_params], eps, first.activation, x, y,
+                    outputs[:n_params], outputs[n_params:],
                 )
-            epoch_loss += loss * idx.shape[1]
-            correct += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
-            scratch *= rate
-            state[:, :split] -= scratch[:, :split]
-            state[:, split:] *= decay
-            state[:, split:] += scratch[:, split:]
-        for k, i in enumerate(alive):
-            losses[i].append(float(epoch_loss[k]) / size)
-            accs[i].append(int(correct[k]) / size)
+                diverged = np.isnan(loss)
+                if diverged.any():
+                    for k in np.flatnonzero(diverged):
+                        _unstack(arrays, k, nets[alive[k]])
+                        results[alive[k]] = TrainingDivergedError(
+                            f"NaN loss at epoch {epoch}, batch starting {start}; "
+                            "try a smaller learning rate"
+                        )
+                    keep = ~diverged
+                    alive = [i for i, kept in zip(alive, keep) if kept]
+                    if not alive:
+                        return results
+                    state, scratch = state[keep], scratch[keep]
+                    arrays, outputs = _views(state, shapes), _views(scratch, shapes)
+                    order, y, loss, probs, epoch_loss, correct = (
+                        a[keep] for a in (order, y, loss, probs, epoch_loss, correct)
+                    )
+                epoch_loss += loss * idx.shape[1]
+                correct += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
+                scratch *= rate
+                state[:, :split] -= scratch[:, :split]
+                state[:, split:] *= decay
+                state[:, split:] += scratch[:, split:]
+            for k, i in enumerate(alive):
+                losses[i].append(float(epoch_loss[k]) / size)
+                accs[i].append(int(correct[k]) / size)
     for k, i in enumerate(alive):
         _unstack(arrays, k, nets[i])
         results[i] = TrainLog(epoch_losses=tuple(losses[i]), epoch_accuracies=tuple(accs[i]))

@@ -5,11 +5,12 @@ Two constructions:
 * polynomial activation: exact symbolic composition of the layer maps into
   per-class logit polynomials, the equality/inequality cover pieces they
   induce, and the degree witness check;
-* ReLU activation: explicit affine parameterization of a boundary piece by
-  solving the class-tie system on the last layer and back-substituting
-  layer by layer, valid on the region where every pre-activation is
-  nonnegative (there ReLU is the identity, which is exactly the positivity
-  constraint set).
+* ReLU activation: a boundary piece as one affine map of free variables u
+  onto the target layer, X = particular + basis @ u, found by solving the
+  class-tie system on the last layer and back-substituting layer by layer,
+  and one constraint system C u + c >= 0 on u.  Its rows keep every
+  traversed pre-activation nonnegative (there ReLU is the identity, so the
+  map is exact) and class j on top of every class it does not tie with.
 
 Batch norm in inference mode is an affine map and is folded into the layer
 affines, so both constructions agree with the network's own forward pass.
@@ -21,7 +22,7 @@ pairs may run in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .mlp import Network, forward
 __all__ = [
     "MultiPoly",
     "CoverDescriptor",
-    "LayerSolve",
     "AffineSolution",
     "BoundaryPoint",
     "SamplingResult",
@@ -316,30 +316,24 @@ def degree_bound_check(logits: Sequence[MultiPoly], r: int, depth: int, layer: i
 
 
 @dataclass(frozen=True)
-class LayerSolve:
-    """Affine expression X^layer = particular + basis @ u over the full
-    free vector, with the pivot columns that were eliminated."""
-
-    layer: int
-    pivot_cols: tuple[int, ...]
-    particular: np.ndarray
-    basis: np.ndarray
-
-
-@dataclass(frozen=True)
 class AffineSolution:
+    """One boundary piece, traced back to ``layer``: X^layer = particular +
+    basis @ u, for the free vector u in the region where every row of
+    constraint_matrix @ u + constraint_offset is nonnegative.  The rows
+    keep each traversed ReLU on its identity branch, then class j on top
+    of every class it does not tie with."""
+
     class_j: int
     alphas: tuple[int, ...]
     layer: int
-    layers: tuple[LayerSolve, ...]  # ordered from layer l-1 down to ``layer``
-    positivity_matrix: np.ndarray
-    positivity_offset: np.ndarray
-    residual_matrix: np.ndarray
-    residual_offset: np.ndarray
+    particular: np.ndarray
+    basis: np.ndarray
+    constraint_matrix: np.ndarray
+    constraint_offset: np.ndarray
 
     @property
     def n_free(self) -> int:
-        return self.layers[0].basis.shape[1]
+        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -354,7 +348,6 @@ class BoundaryPoint:
 class SamplingResult:
     points: tuple[BoundaryPoint, ...]
     attempts: int
-    requested: int
 
     @property
     def feasible(self) -> bool:
@@ -409,12 +402,11 @@ def _solve_affine_onto(
     rhs_part: np.ndarray,
     rhs_basis: np.ndarray,
     layer: int,
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve mat @ x = rhs_part + rhs_basis @ u for x, introducing the
     non-pivot coordinates of x as new free variables appended to u.
 
-    Returns (pivot_cols, particular, basis) with
-    x = particular + basis @ (u, new_free).
+    Returns (particular, basis) with x = particular + basis @ (u, new_free).
     """
     rows, cols = mat.shape
     old_free = rhs_basis.shape[1]
@@ -428,7 +420,7 @@ def _solve_affine_onto(
     if n_new:
         basis[pivots, old_free:] = -inv @ mat[:, free]
         basis[free, old_free:] = np.eye(n_new)
-    return tuple(int(p) for p in pivots), particular, basis
+    return particular, basis
 
 
 def solve_relu_boundary(
@@ -443,17 +435,18 @@ def solve_relu_boundary(
 
     The tie system on the last hidden layer uses the output weight-row and
     bias differences; each earlier layer is recovered by inverting the
-    pivot block of its (batch-norm folded) affine map.  Positivity rows
-    constrain every traversed pre-activation (equivalently, each layer
-    output for batch-norm-free networks) to the region where ReLU acts as
-    the identity.
+    pivot block of its (batch-norm folded) affine map.  The constraint
+    system holds one row per traversed pre-activation (equivalently, per
+    layer output for batch-norm-free networks), keeping ReLU on its
+    identity branch, from ``layer`` up, and then one row per class that
+    class j must stay on top of.
     """
     if net.activation.kind != "relu":
         raise ValueError("boundary solve requires a ReLU network")
     alphas, others = _tie_classes(class_j, alphas, net.n_classes)
     depth = net.depth
     if not 1 <= layer <= depth - 1:
-        raise ValueError(f"layer must be in 1..{depth - 1}")
+        raise ValueError(f"layer must be in 1..{depth - 1}, got {layer}")
 
     blocks = _block_affines(net)
     w_out, b_out = net.output.weight, net.output.bias
@@ -461,66 +454,47 @@ def solve_relu_boundary(
     tie_mat = w_out[class_j] - w_out[list(alphas)]
     tie_off = b_out[class_j] - b_out[list(alphas)]
 
-    pivots, particular, basis = _solve_affine_onto(
+    particular, basis = _solve_affine_onto(
         tie_mat, -tie_off, np.zeros((len(alphas), 0)), layer=depth - 1
     )
-    solves = [LayerSolve(layer=depth - 1, pivot_cols=pivots, particular=particular, basis=basis)]
-
+    solves = [(depth - 1, particular, basis)]  # ordered from layer l-1 down to ``layer``
     for k in range(depth - 2, layer - 1, -1):
         w, b, d, e = blocks[k]
         # on the identity branch of ReLU the block map is affine:
         # x -> d * (w x + b) + e
-        a_k = d[:, None] * w
-        c_k = d * b + e
-        target = solves[-1]
-        pivots, particular, basis = _solve_affine_onto(
-            a_k, target.particular - c_k, target.basis, layer=k
-        )
-        solves.append(LayerSolve(layer=k, pivot_cols=pivots, particular=particular, basis=basis))
+        particular, basis = _solve_affine_onto(d[:, None] * w, particular - (d * b + e), basis, layer=k)
+        solves.append((k, particular, basis))
 
-    # free variables introduced below a layer are zero columns of its basis
-    n_free = solves[-1].basis.shape[1]
-    solves = [
-        replace(s, basis=np.hstack([s.basis, np.zeros((len(s.basis), n_free - s.basis.shape[1]))]))
-        for s in solves
-    ]
-
-    pos_rows, pos_offs = [], []
+    # the last solve, ``layer``'s, spans every free variable
+    n_free = basis.shape[1]
+    rows, offsets = [], []
     has_norm = any(block.norm is not None for block in net.hidden)
-    for expr in reversed(solves):
-        k = expr.layer
-        if has_norm:
+    for k, x_part, x_basis in reversed(solves):
+        # free variables introduced below a layer are zero columns of its basis
+        x_basis = np.hstack([x_basis, np.zeros((len(x_basis), n_free - x_basis.shape[1]))])
+        if not has_norm:
+            rows.append(x_basis)
+            offsets.append(x_part)
+        elif k < depth - 1:
             # batch norm can shift layer outputs negative; the ReLU identity
             # regime is the nonnegativity of each pre-activation instead
-            if k < depth - 1:
-                w, b, _, _ = blocks[k]
-                pos_rows.append(w @ expr.basis)
-                pos_offs.append(w @ expr.particular + b)
-        else:
-            pos_rows.append(expr.basis)
-            pos_offs.append(expr.particular)
-    positivity_matrix = np.vstack(pos_rows) if pos_rows else np.zeros((0, n_free))
-    positivity_offset = np.concatenate(pos_offs) if pos_offs else np.zeros(0)
-
-    last = solves[0]
-    res_rows, res_offs = [], []
+            w, b, _, _ = blocks[k]
+            rows.append(w @ x_basis)
+            offsets.append(w @ x_part + b)
+    # the loop ends on layer l-1, whose logits class j must keep on top
     for q in others:
         row = w_out[class_j] - w_out[q]
-        off = b_out[class_j] - b_out[q]
-        res_rows.append(row @ last.basis)
-        res_offs.append(row @ last.particular + off)
-    residual_matrix = np.vstack(res_rows) if res_rows else np.zeros((0, n_free))
-    residual_offset = np.asarray(res_offs) if res_offs else np.zeros(0)
+        rows.append(row @ x_basis)
+        offsets.append(row @ x_part + (b_out[class_j] - b_out[q]))
 
     return AffineSolution(
         class_j=class_j,
         alphas=alphas,
         layer=layer,
-        layers=tuple(solves),
-        positivity_matrix=positivity_matrix,
-        positivity_offset=positivity_offset,
-        residual_matrix=residual_matrix,
-        residual_offset=residual_offset,
+        particular=particular,
+        basis=basis,
+        constraint_matrix=np.vstack(rows) if rows else np.zeros((0, n_free)),
+        constraint_offset=np.hstack(offsets) if offsets else np.zeros(0),
     )
 
 
@@ -531,16 +505,9 @@ _BATCH = 256
 _MAX_DRAW = 1 << 16
 
 
-def _constraint_rows(sol: AffineSolution):
-    """The (matrix, offset) pairs a sampled point must keep nonnegative."""
-    return (
-        (sol.positivity_matrix, sol.positivity_offset),
-        (sol.residual_matrix, sol.residual_offset),
-    )
-
-
 def _accepted(sol: AffineSolution, u: np.ndarray) -> np.ndarray:
-    """Which rows of u satisfy every constraint row within the tolerance.
+    """Which rows of u keep every row of the constraint system at or above
+    -POSITIVITY_TOLERANCE.
 
     The rows are tested _BATCH at a time in one stacked matmul: BLAS runs
     one small product per batch, the same product the batch-by-batch loop
@@ -550,19 +517,17 @@ def _accepted(sol: AffineSolution, u: np.ndarray) -> np.ndarray:
     times as long, and now and then stalled for up to a second.
     """
     full = len(u) - len(u) % _BATCH
-    ok = []
-    for part in (u[:full].reshape(full // _BATCH, _BATCH, u.shape[1]), u[None, full:]):
-        good = np.ones(part.shape[:2], dtype=bool)
-        for mat, off in _constraint_rows(sol):
-            if mat.shape[0]:
-                good &= np.all(part @ mat.T + off >= -POSITIVITY_TOLERANCE, axis=2)
-        ok.append(good.ravel())
-    return np.concatenate(ok)
+    mat, off = sol.constraint_matrix, sol.constraint_offset
+    return np.concatenate([
+        np.all(part @ mat.T + off >= -POSITIVITY_TOLERANCE, axis=2).ravel()
+        for part in (u[:full].reshape(full // _BATCH, _BATCH, u.shape[1]), u[None, full:])
+    ])
 
 
 def _box_infeasible(sol: AffineSolution, box: float) -> bool:
-    """True when some constraint row is below -POSITIVITY_TOLERANCE at every
-    point of [0, box]^n_free, so that every draw fails it.
+    """True when some row of the constraint system is below
+    -POSITIVITY_TOLERANCE at every point of [0, box]^n_free, so that every
+    draw fails it.
 
     The largest value of row (m, o) on the box is o + box * sum(max(m, 0)).
     A draw's computed value u @ m + o differs from the exact one by at most
@@ -576,12 +541,10 @@ def _box_infeasible(sol: AffineSolution, box: float) -> bool:
     if not 0.0 < box < np.inf:
         return False
     eps = np.finfo(np.float64).eps
-    for mat, off in _constraint_rows(sol):
-        top = off + box * np.maximum(mat, 0.0).sum(axis=1)
-        margin = (sol.n_free + 2) * 4 * eps * (box * np.abs(mat).sum(axis=1) + np.abs(off))
-        if np.any(top + margin < -POSITIVITY_TOLERANCE):
-            return True
-    return False
+    mat, off = sol.constraint_matrix, sol.constraint_offset
+    top = off + box * np.maximum(mat, 0.0).sum(axis=1)
+    margin = (sol.n_free + 2) * 4 * eps * (box * np.abs(mat).sum(axis=1) + np.abs(off))
+    return bool(np.any(top + margin < -POSITIVITY_TOLERANCE))
 
 
 def sample_boundary(
@@ -592,11 +555,11 @@ def sample_boundary(
     max_attempts: Optional[int] = None,
 ) -> SamplingResult:
     """Rejection-sample boundary points: free variables uniform in
-    [0, box], kept when every positivity row and residual inequality is
-    satisfied (tolerance 1e-9).  The first ``count`` rows that pass, in
-    draw order, become points; ``attempts`` counts the draws in whole
-    batches of 256, up to the one holding the last point kept, or the
-    whole budget when fewer than ``count`` pass.
+    [0, box], kept when every row of the piece's constraint system is at
+    least -1e-9.  The first ``count`` rows that pass, in draw order, become
+    points; ``attempts`` counts the draws in whole batches of 256, up to the
+    one holding the last point kept, or the whole budget when fewer than
+    ``count`` pass.
 
     Finding nothing within the attempt budget is an infeasibility report,
     not an error; the region may genuinely be empty.  Before drawing, an
@@ -616,7 +579,7 @@ def sample_boundary(
         max_attempts = max(400 * count, 4000)
     rng = np.random.default_rng(seed)
     if count > 0 and max_attempts > 0 and _box_infeasible(sol, box):
-        return SamplingResult(points=(), attempts=max_attempts, requested=count)
+        return SamplingResult(points=(), attempts=max_attempts)
     rows = np.zeros((0, sol.n_free))
     attempts = 0
     while attempts < max_attempts and len(rows) < count:
@@ -628,17 +591,16 @@ def sample_boundary(
             m = min(m, (int(hits[-1]) // _BATCH + 1) * _BATCH)
         attempts += m
         rows = np.concatenate([rows, u[hits]])
-    base = sol.layers[-1]
     points = tuple(
         BoundaryPoint(
             layer=sol.layer,
-            coords=base.particular + base.basis @ row,
+            coords=sol.particular + sol.basis @ row,
             class_j=sol.class_j,
             alphas=sol.alphas,
         )
         for row in rows
     )
-    return SamplingResult(points=points, attempts=attempts, requested=count)
+    return SamplingResult(points=points, attempts=attempts)
 
 
 def verify_ambiguity(net: Network, point: BoundaryPoint, tol: float = 1e-6) -> tuple[bool, float]:

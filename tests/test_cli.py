@@ -638,6 +638,14 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
         ("train --data MISMATCHED_IDX --widths 2 --epochs 1", 1, "image/label counts differ"),
         ("train --data HUGE_IDX --widths 4 --epochs 1", 1,
          "train-images-idx3-ubyte: the header claims 4611686014132420609 bytes, the file holds 0"),
+        ("train --data EMPTY_IDX --widths 4", 1,
+         "train-images-idx3-ubyte: the header's image count is 0"),
+        ("train --data EMPTY_WIDE_IDX --widths 4", 1,
+         "train-images-idx3-ubyte: the header's image count is 0"),
+        ("cover --checkpoint CHECKPOINT --alphas 1 --class-j 0 --layer 0", 2,
+         "argument --layer: expected an integer >= 1, got '0'"),
+        ("cover --checkpoint CHECKPOINT --alphas 1 --class-j 0 --layer 3", 1,
+         "layer must be in 1..2, got 3"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
@@ -645,14 +653,16 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",
          "analyze-layer-4", "analyze-cap-1", "sweep-cap-1", "sweep-layer-0", "sweep-layer-4",
          "bounds-k--1", "bounds-classes-1", "bounds-degree-0", "bounds-target--1",
-         "bounds-free-layer-3", "idx-counts-differ", "idx-header-too-large"],
+         "bounds-free-layer-3", "idx-counts-differ", "idx-header-too-large", "idx-no-images",
+         "idx-no-images-wide", "cover-layer-0", "cover-layer-3"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
              "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv",
              "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
              "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched",
-             "HUGE_IDX": tmp_path / "huge"}
+             "HUGE_IDX": tmp_path / "huge", "EMPTY_IDX": tmp_path / "empty",
+             "EMPTY_WIDE_IDX": tmp_path / "empty-wide"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
@@ -665,6 +675,11 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
     files["HUGE_IDX"].mkdir()  # a header claiming (2^31 - 1)^2 one-pixel images
     (files["HUGE_IDX"] / "train-images-idx3-ubyte").write_bytes(
         struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 2**31 - 1, 2**31 - 1, 1))
+    for name, side in (("EMPTY_IDX", 28), ("EMPTY_WIDE_IDX", 2**32 - 1)):  # headers of no images
+        files[name].mkdir()
+        (files[name] / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 0, side, side))
+        data.write_idx_labels(files[name] / "train-labels-idx1-ubyte", [])
     argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
     try:
         rc = main(argv)
@@ -689,3 +704,24 @@ def test_readme_library_quick_start_runs():
     result = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True, env=env,
                             cwd=root)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, code, stderr",
+    [
+        ("train --widths 4", 1,
+         "error: NaN loss at epoch 0, batch starting 32; try a smaller learning rate\n"),
+        ("sweep --widths 4 --seeds 1", 0, ""),
+    ],
+    ids=["train", "sweep"],
+)
+def test_a_diverging_run_prints_no_numpy_warnings(idx_dir, tmp_path, argv, code, stderr):
+    # pytest records warnings instead of printing them, so the console is a
+    # child process
+    root = Path(__file__).resolve().parents[1]
+    argv = argv.split() + ["--data", str(idx_dir), "--epochs", "1", "--lr", "1e300",
+                           "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    result = subprocess.run([sys.executable, "-m", "bettinet.cli", *argv], capture_output=True,
+                            text=True, env=env, cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (code, stderr)

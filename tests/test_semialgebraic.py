@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import warnings
@@ -309,33 +310,45 @@ def test_rank_deficient_pivot_blocks_raise_without_warnings(mat):
 def test_solution_dimensions_follow_rank_nullity():
     rng = np.random.default_rng(4)
     for seed in range(10):
-        net = random_relu_net(seed, widths=(4, 4, 4, 3))
+        widths = (4, 4, 4, 3) if seed % 2 else (4, 6, 5, 4, 3)
+        net = random_relu_net(seed, widths=widths)
         alphas = (int(rng.integers(1, 3)),)
-        sol = sa.solve_relu_boundary(net, 0, alphas, layer=1)
-        # last layer: n_{l-1} - (p+1) frees; each earlier layer adds
-        # n_k - n_{k+1}
-        widths = net.widths
-        expected = (widths[2] - len(alphas)) + (widths[1] - widths[2])
-        assert sol.n_free == expected
-        for layer_solve in sol.layers:
-            n_k = widths[layer_solve.layer]
-            assert layer_solve.basis.shape == (n_k, sol.n_free)
-            rank = np.linalg.matrix_rank(layer_solve.basis)
-            assert rank == min(n_k, sol.n_free) or rank <= sol.n_free
+        for layer in range(1, net.depth):
+            sol = sa.solve_relu_boundary(net, 0, alphas, layer=layer)
+            # layer l-1 has n_{l-1} - p frees, and each layer k below it
+            # adds n_k - n_{k+1}
+            assert sol.n_free == widths[layer] - len(alphas)
+            assert sol.basis.shape == (widths[layer], sol.n_free)
+            assert sol.particular.shape == (widths[layer],)
+            # the layer-l-1 point, and so u, follows from the layer point
+            assert np.linalg.matrix_rank(sol.basis) == sol.n_free
+
+
+def identity_branch_maps(net):
+    """Per hidden block, its map x -> d * (w x + b) + e on the identity
+    branch of ReLU, with the inference batch-norm affine (d, e)."""
+    maps = []
+    for block in net.hidden:
+        w, b, norm = block.dense.weight, block.dense.bias, block.norm
+        d = 1.0 if norm is None else norm.gamma / np.sqrt(norm.running_var + norm.eps)
+        e = 0.0 if norm is None else norm.beta - d * norm.running_mean
+        maps.append((w, b, d, e))
+    return maps
 
 
 def test_solution_satisfies_tie_equations():
     for seed in range(10):
-        net = random_relu_net(seed + 50, widths=(4, 4, 3, 3))
-        sol = sa.solve_relu_boundary(net, 0, [1], layer=1)
-        rng = np.random.default_rng(seed)
-        last = sol.layers[0]
+        net = random_relu_net(seed + 50, widths=(4, 4, 3, 3), batch_norm=bool(seed % 2))
         w, b = net.output.weight, net.output.bias
-        for _ in range(5):
-            u = rng.uniform(0, 1, size=sol.n_free)
-            x_last = last.particular + last.basis @ u
-            tie = (w[0] - w[1]) @ x_last + (b[0] - b[1])
-            assert abs(tie) < 1e-9
+        rng = np.random.default_rng(seed)
+        for layer in range(1, net.depth):
+            sol = sa.solve_relu_boundary(net, 0, [1], layer=layer)
+            for _ in range(5):
+                x = sol.particular + sol.basis @ rng.uniform(0, 1, size=sol.n_free)
+                for wk, bk, dk, ek in identity_branch_maps(net)[layer:]:
+                    x = dk * (wk @ x + bk) + ek
+                tie = (w[0] - w[1]) @ x + (b[0] - b[1])
+                assert abs(tie) < 1e-9
 
 
 def test_sample_boundary_unconstrained_accepts_everything():
@@ -343,18 +356,10 @@ def test_sample_boundary_unconstrained_accepts_everything():
         class_j=0,
         alphas=(1,),
         layer=1,
-        layers=(
-            sa.LayerSolve(
-                layer=1,
-                pivot_cols=(0,),
-                particular=np.zeros(2),
-                basis=np.array([[1.0], [0.0]]),
-            ),
-        ),
-        positivity_matrix=np.zeros((0, 1)),
-        positivity_offset=np.zeros(0),
-        residual_matrix=np.zeros((0, 1)),
-        residual_offset=np.zeros(0),
+        particular=np.zeros(2),
+        basis=np.array([[1.0], [0.0]]),
+        constraint_matrix=np.zeros((0, 1)),
+        constraint_offset=np.zeros(0),
     )
     res = sa.sample_boundary(sol, 10, box=1.0, seed=0)
     assert len(res.points) == 10
@@ -367,18 +372,10 @@ def test_sample_boundary_empty_region_reports_infeasible():
         class_j=0,
         alphas=(1,),
         layer=1,
-        layers=(
-            sa.LayerSolve(
-                layer=1,
-                pivot_cols=(0,),
-                particular=np.zeros(1),
-                basis=np.eye(1),
-            ),
-        ),
-        positivity_matrix=np.array([[-1.0]]),
-        positivity_offset=np.array([-1.0]),
-        residual_matrix=np.zeros((0, 1)),
-        residual_offset=np.zeros(0),
+        particular=np.zeros(1),
+        basis=np.eye(1),
+        constraint_matrix=np.array([[-1.0]]),
+        constraint_offset=np.array([-1.0]),
     )
     res = sa.sample_boundary(sol, 5, box=1.0, seed=0, max_attempts=500)
     assert not res.feasible
@@ -443,22 +440,15 @@ def batch_loop_sample(sol, count, box=1.0, seed=0, max_attempts=None):
     if max_attempts is None:
         max_attempts = max(400 * count, 4000)
     rng = np.random.default_rng(seed)
-    base = sol.layers[-1]
     coords = []
     attempts = 0
     while attempts < max_attempts and len(coords) < count:
         m = min(256, max_attempts - attempts)
         attempts += m
         u = rng.uniform(0.0, box, size=(m, sol.n_free))
-        ok = np.ones(m, dtype=bool)
-        if sol.positivity_matrix.shape[0]:
-            vals = u @ sol.positivity_matrix.T + sol.positivity_offset
-            ok &= np.all(vals >= -sa.POSITIVITY_TOLERANCE, axis=1)
-        if sol.residual_matrix.shape[0]:
-            vals = u @ sol.residual_matrix.T + sol.residual_offset
-            ok &= np.all(vals >= -sa.POSITIVITY_TOLERANCE, axis=1)
-        for row in u[ok]:
-            coords.append(base.particular + base.basis @ row)
+        vals = u @ sol.constraint_matrix.T + sol.constraint_offset
+        for row in u[np.all(vals >= -sa.POSITIVITY_TOLERANCE, axis=1)]:
+            coords.append(sol.particular + sol.basis @ row)
             if len(coords) == count:
                 break
     return coords, attempts
@@ -521,21 +511,60 @@ def test_sample_boundary_equals_the_batch_loop_on_random_nets():
     assert outcomes == {"proven empty", "empty", "short", "first batch", "later batch"}
 
 
+def piece_values(net, sol, u):
+    """The values the definition of a ReLU boundary piece keeps
+    nonnegative at the layer point of u, in plain numpy: every traversed
+    pre-activation (with batch norm) or layer output (without) on the
+    identity branch, and class j's logit minus each untied class's."""
+    x = sol.particular + sol.basis @ u
+    has_norm = net.hidden[0].norm is not None
+    values = [] if has_norm else [x]
+    for w, b, d, e in identity_branch_maps(net)[sol.layer:]:
+        pre = w @ x + b
+        x = d * pre + e
+        values.append(pre if has_norm else x)
+    logits = net.output.weight @ x + net.output.bias
+    # the tied classes sit at the threshold by construction
+    untied = [q for q in range(net.n_classes) if q != sol.class_j and q not in sol.alphas]
+    values.append(logits[sol.class_j] - logits[untied])
+    return np.concatenate(values)
+
+
+def test_accepted_draws_are_the_points_of_the_piece():
+    rng = np.random.default_rng(33)
+    verdicts = collections.Counter()
+    for trial in range(12):
+        net = benchmark_shaped_relu_net(rng, batch_norm=bool(trial % 2))
+        j = int(rng.integers(4))
+        others = [q for q in range(4) if q != j]
+        for alphas in ([others[0]], others[1:]):
+            for layer in (1, 2):
+                sol = sa.solve_relu_boundary(net, j, alphas, layer)
+                u = rng.uniform(0.0, 1.5, size=(600, sol.n_free))
+                accepted = sa._accepted(sol, u)
+                for row, ok in zip(u, accepted):
+                    values = piece_values(net, sol, row)
+                    if np.min(np.abs(values + sa.POSITIVITY_TOLERANCE)) < 1e-6:
+                        verdicts["near a threshold"] += 1
+                        continue
+                    assert ok == np.all(values >= -sa.POSITIVITY_TOLERANCE)
+                    verdicts["inside" if ok else "outside"] += 1
+    # both verdicts are reached, and few draws are too close to call
+    assert verdicts["inside"] > 100 and verdicts["outside"] > 100
+    assert verdicts["near a threshold"] < 0.01 * sum(verdicts.values())
+
+
 def constraint_solution(n_free, matrix, offset):
     """A boundary piece whose free variables are the coordinates, with the
-    given positivity rows and no residual rows."""
+    given constraint rows."""
     return sa.AffineSolution(
         class_j=0,
         alphas=(1,),
         layer=1,
-        layers=(
-            sa.LayerSolve(layer=1, pivot_cols=(), particular=np.zeros(max(n_free, 1)),
-                          basis=np.eye(max(n_free, 1), n_free)),
-        ),
-        positivity_matrix=np.asarray(matrix, dtype=float).reshape(len(offset), n_free),
-        positivity_offset=np.asarray(offset, dtype=float),
-        residual_matrix=np.zeros((0, n_free)),
-        residual_offset=np.zeros(0),
+        particular=np.zeros(max(n_free, 1)),
+        basis=np.eye(max(n_free, 1), n_free),
+        constraint_matrix=np.asarray(matrix, dtype=float).reshape(len(offset), n_free),
+        constraint_offset=np.asarray(offset, dtype=float),
     )
 
 
@@ -609,15 +638,13 @@ def test_invalid_box_raises_as_the_loop_does(box, error):
 
 def test_proven_empty_region_returns_without_drawing(monkeypatch):
     sol = constraint_solution(2, [[1.0, -1.0], [-1.0, -1.0]], [0.0, -2.5])
-    # the same rows as residual inequalities
-    residual = dataclasses.replace(
+    # the same rows in the other order: the empty row last, then first
+    swapped = dataclasses.replace(
         sol,
-        positivity_matrix=sol.residual_matrix,
-        positivity_offset=sol.residual_offset,
-        residual_matrix=sol.positivity_matrix,
-        residual_offset=sol.positivity_offset,
+        constraint_matrix=sol.constraint_matrix[::-1],
+        constraint_offset=sol.constraint_offset[::-1],
     )
-    for region in (sol, residual):
+    for region in (sol, swapped):
         expected = batch_loop_sample(region, 5, box=1.0, seed=7, max_attempts=8001)
         assert expected == ([], 8001)
 
@@ -629,9 +656,9 @@ def test_proven_empty_region_returns_without_drawing(monkeypatch):
             raise AssertionError("a proven-empty region was sampled")
 
     monkeypatch.setattr(np.random, "default_rng", NoDraws)
-    for region in (sol, residual):
+    for region in (sol, swapped):
         res = sa.sample_boundary(region, 5, box=1.0, seed=7, max_attempts=8001)
-        assert (res.points, res.attempts, res.requested) == ((), 8001, 5)
+        assert (res.points, res.attempts) == ((), 8001)
     # nothing is drawn when nothing is asked for either
     assert sa.sample_boundary(sol, 0, box=1.0, seed=7).attempts == 0
     assert sa.sample_boundary(sol, 5, box=1.0, seed=7, max_attempts=0).attempts == 0
