@@ -19,10 +19,14 @@ costs milliseconds (about 2 ms at 100 points), less than starting a worker.
 At 1 (the default, and what ``analyze`` computes) each class gets its
 dim-1 Rips barcode and b0/b1 curves; these computations are independent
 and may run in parallel (``jobs``); results do not depend on the level of
-parallelism.  The pool pays only once classes are large: on 2 cores, with
-10 classes of 784-D images and a 16-wide layer, ``analyze --jobs 2`` was
-slower than ``--jobs 1`` at 200 points per class (2.7 s against 2.3 s)
-and faster from 300 (4.5 s against 5.1 s; 12.5 s against 13.7 s at 500).
+parallelism.  The pool pays only from 500 points per class.  Whole
+``analyze --layer 3`` runs on 2 cores, 10 classes of 784-D images and a
+784-16-16-16-10 net, three runs each:
+
+    cap   --jobs 1              --jobs 2
+    200   1.41, 1.42, 2.01 s    1.61, 1.63, 1.63 s
+    300   2.28, 2.50, 2.77 s    2.48, 2.68, 2.95 s
+    500   6.97, 7.16, 7.58 s    5.94, 6.22, 7.58 s
 """
 
 from __future__ import annotations

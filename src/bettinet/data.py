@@ -77,6 +77,8 @@ class Dataset:
         labels = _owned(labels, np.int64)
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError("features must be a nonempty (N, d) matrix")
+        if values.shape[1] < 1:
+            raise ValueError("features must have at least one column")
         if scale == 1.0 and not np.all(np.isfinite(values)):
             raise ValueError("features must be finite")
         if labels.shape != (values.shape[0],):
@@ -183,10 +185,12 @@ def _read_idx(path, magic: int, kind: str) -> tuple[list[int], bytes]:
 
 def _read_idx_pixels(path) -> np.ndarray:
     """(count, rows*cols) read-only uint8 view of an IDX image file's payload;
-    a file of no images is a FormatError."""
+    a file of no images, or of images without pixels, is a FormatError."""
     (count, rows, cols), payload = _read_idx(path, IDX_IMAGE_MAGIC, "image")
     if count == 0:
         raise FormatError(f"no images in {path}: the header's image count is 0")
+    if rows == 0 or cols == 0:
+        raise FormatError(f"no pixels in {path}: the header's images are {rows}x{cols}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
 
 
@@ -237,7 +241,10 @@ def load_idx_dataset(directory, split: str = "train") -> Dataset:
     pixels = _read_idx_pixels(directory / images_name)
     labels = load_idx_labels(directory / labels_name)
     if len(pixels) != len(labels):
-        raise FormatError("image/label counts differ")
+        raise FormatError(
+            f"image/label counts differ: {len(pixels)} images in {directory / images_name}, "
+            f"{len(labels)} labels in {directory / labels_name}"
+        )
     return Dataset(pixels=pixels, labels=labels, n_classes=int(labels.max()) + 1)
 
 

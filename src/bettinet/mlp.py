@@ -209,6 +209,13 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
 
     Returns (activations, logits, probs) where activations[k-1] is X^k for
     k = from_layer+1 .. l-1.  ``from_layer`` feeds the batch in as X^k.
+
+    The batch is one row, a (B, n) matrix, or a stack of shape (..., n);
+    every result keeps the batch's leading axes.  A (P, 1, n) stack gives
+    each of its P rows, bit for bit, what a (1, n) batch of that row gives:
+    numpy runs the product of each slice of a stacked matmul as its own
+    BLAS call, the call of the 2-D product.  A (P, n) batch is one product
+    over all rows, which BLAS may round in other last bits.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 1:
@@ -217,8 +224,8 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
         raise ValueError(f"from_layer must be in 0..{net.depth - 1}")
     first = net.hidden[from_layer].dense if from_layer < len(net.hidden) else net.output
     width = first.weight.shape[1]
-    if x.shape[1] != width:
-        raise ValueError(f"expected width {width} at layer {from_layer}, got {x.shape[1]}")
+    if x.shape[-1] != width:
+        raise ValueError(f"expected width {width} at layer {from_layer}, got {x.shape[-1]}")
     activations = []
     for block in net.hidden[from_layer:]:
         z = x @ block.dense.weight.T + block.dense.bias

@@ -354,9 +354,29 @@ class SamplingResult:
         return len(self.points) > 0
 
 
-def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot/free column split by greedy column pivoting; the pivot block
-    must be comfortably invertible.
+def _inverse_certifies(inv: np.ndarray) -> bool:
+    """True when 1/||inv||_F, a lower bound on the smallest singular value
+    of the block that ``inv`` inverts, is at least 2 * RANK_TOLERANCE.
+
+    The bound holds for the exact inverse B^-1, since ||B^-1||_F >=
+    ||B^-1||_2 = 1/sigma_min(B).  The computed inverse is off by about
+    n * eps * cond(B) relative (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, chapter 14), and the SVD's smallest singular value by about
+    eps * ||B||.  The factor 2 leaves room for both, so a certified block is
+    one the SVD passes, unless cond(B) nears 1 / (n * eps) or ||B|| nears
+    RANK_TOLERANCE / eps, where rounding alone decides either test.  The
+    norm is taken of inv scaled to a largest entry of 1, which neither
+    overflows nor warns; a non-finite inverse certifies nothing.
+    """
+    if not np.isfinite(inv).all():
+        return False
+    top = np.abs(inv).max(initial=0.0)
+    return top > 0.0 and 2.0 * RANK_TOLERANCE * top * np.linalg.norm(inv / top) <= 1.0
+
+
+def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivot/free column split by greedy column pivoting, and the inverse of
+    the pivot block, which must be comfortably invertible.
 
     Each of ``rows`` steps takes the free column with the largest residual
     norm (the first one on a tie) and projects its direction out of every
@@ -366,6 +386,11 @@ def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]
     moves only the reported singular value.  The matrix is first scaled by
     the power of two that brings its largest entry near 1, which is exact
     and keeps the squared norms from overflowing or underflowing.
+
+    The block is inverted once.  Its smallest singular value must be at
+    least RANK_TOLERANCE; the inverse certifies that (``_inverse_certifies``)
+    for all but nearly singular blocks, and only the others pay for an SVD,
+    which decides and names the value in the RankDeficiencyError.
     """
     rows, cols = mat.shape
     if rows > cols:
@@ -387,14 +412,22 @@ def _pivot_columns(mat: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]
             r -= q[:, None] * (q @ r)
     pivots = taken.nonzero()[0]
     block = mat[:, pivots]
-    smallest_sv = np.linalg.svd(block, compute_uv=False)[-1] if rows else 0.0
-    if rows and smallest_sv < RANK_TOLERANCE:
-        raise RankDeficiencyError(
-            f"pivot block at layer {layer} is rank deficient "
-            f"(smallest singular value {smallest_sv:.3e} < {RANK_TOLERANCE})",
-            layer=layer,
-        )
-    return pivots, (~taken).nonzero()[0]
+    try:
+        inv = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        inv = None
+    if rows and (inv is None or not _inverse_certifies(inv)):
+        smallest_sv = np.linalg.svd(block, compute_uv=False)[-1]
+        if smallest_sv < RANK_TOLERANCE:
+            raise RankDeficiencyError(
+                f"pivot block at layer {layer} is rank deficient "
+                f"(smallest singular value {smallest_sv:.3e} < {RANK_TOLERANCE})",
+                layer=layer,
+            )
+    if inv is None:
+        # singular to the LU factorization only: fail as the inversion does
+        inv = np.linalg.inv(block)
+    return pivots, (~taken).nonzero()[0], inv
 
 
 def _solve_affine_onto(
@@ -410,8 +443,7 @@ def _solve_affine_onto(
     """
     rows, cols = mat.shape
     old_free = rhs_basis.shape[1]
-    pivots, free = _pivot_columns(mat, layer)
-    inv = np.linalg.inv(mat[:, pivots])
+    pivots, free, inv = _pivot_columns(mat, layer)
     n_new = len(free)
     particular = np.zeros(cols)
     basis = np.zeros((cols, old_free + n_new))
@@ -591,16 +623,36 @@ def sample_boundary(
             m = min(m, (int(hits[-1]) // _BATCH + 1) * _BATCH)
         attempts += m
         rows = np.concatenate([rows, u[hits]])
+    # one matrix-vector product per row, stacked: the 2-D rows @ basis.T
+    # would be one matrix product, which BLAS may round differently
+    coords = sol.particular + (sol.basis @ rows[:, :, None])[:, :, 0]
     points = tuple(
-        BoundaryPoint(
-            layer=sol.layer,
-            coords=sol.particular + sol.basis @ row,
-            class_j=sol.class_j,
-            alphas=sol.alphas,
-        )
-        for row in rows
+        BoundaryPoint(layer=sol.layer, coords=c, class_j=sol.class_j, alphas=sol.alphas)
+        for c in coords
     )
     return SamplingResult(points=points, attempts=attempts)
+
+
+def _worst_margins(net: Network, layer: int, class_j: int, alphas: Sequence[int],
+                   coords: np.ndarray) -> np.ndarray:
+    """The worst normalized margin of each row of ``coords``, a (P, n) array
+    of points of one piece at ``layer``, as ``verify_ambiguity`` defines it.
+
+    One forward of the (P, 1, n) stack gives every point the logits that a
+    forward of the point alone gives, bit for bit (see ``mlp.forward``).
+    """
+    _, logits, _ = forward(net, coords[:, None, :], from_layer=layer)
+    logits = logits[:, 0]
+    scale = np.maximum(np.abs(logits).max(axis=1), 1e-12)[:, None]
+    others = [q for q in range(net.n_classes) if q != class_j and q not in alphas]
+    top = logits[:, class_j, None]
+    margins = np.hstack([
+        np.abs(top - logits[:, list(alphas)]) / scale,
+        (logits[:, others] - top) / scale,
+    ])
+    # the largest margin, or 0 when none is positive; a NaN margin is skipped
+    worst = np.fmax.reduce(margins, axis=1)
+    return np.where(worst > 0.0, worst, 0.0)
 
 
 def verify_ambiguity(net: Network, point: BoundaryPoint, tol: float = 1e-6) -> tuple[bool, float]:
@@ -608,18 +660,13 @@ def verify_ambiguity(net: Network, point: BoundaryPoint, tol: float = 1e-6) -> t
 
     Passes when |logit_j - logit_a| <= tol * scale for every tied index
     and logit_j >= logit_q - tol * scale for every other class, with
-    scale the largest |logit|.  Returns (ok, worst normalized margin).
+    scale the largest |logit| (at least 1e-12).  Returns (ok, worst
+    normalized margin), the worst margin 0 when every check holds with
+    room.  This is the one-point case of the check ``cover_report`` runs
+    on all of a piece's points in one forward.
     """
-    _, logits, _ = forward(net, point.coords.reshape(1, -1), from_layer=point.layer)
-    logits = logits[0]
-    scale = max(float(np.max(np.abs(logits))), 1e-12)
-    worst = 0.0
-    for a in point.alphas:
-        worst = max(worst, abs(float(logits[point.class_j] - logits[a])) / scale)
-    for q in range(net.n_classes):
-        if q == point.class_j or q in point.alphas:
-            continue
-        worst = max(worst, float(logits[q] - logits[point.class_j]) / scale)
+    coords = point.coords.reshape(1, -1)
+    worst = float(_worst_margins(net, point.layer, point.class_j, point.alphas, coords)[0])
     return worst <= tol, worst
 
 
@@ -651,9 +698,10 @@ def cover_report(
                 f"region empty after {result.attempts} attempts"
             )
             continue
-        margins = [verify_ambiguity(net, p, tol=tol) for p in result.points]
-        n_ok = sum(1 for ok, _ in margins if ok)
-        worst = max(m for _, m in margins)
+        coords = np.stack([p.coords for p in result.points])
+        margins = _worst_margins(net, layer, class_j, alphas, coords)
+        n_ok = int(np.count_nonzero(margins <= tol))
+        worst = float(margins.max())
         lines.append(
             f"{tag}: equations={len(alphas)} free_dim={sol.n_free} "
             f"points={len(result.points)} pass={n_ok}/{len(result.points)} "

@@ -635,13 +635,16 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "argument --min-width-target: expected an integer >= 0, got '-1'"),
         ("bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 1 --free-layer 3", 1,
          "layer must be in 1..2, got 3"),
-        ("train --data MISMATCHED_IDX --widths 2 --epochs 1", 1, "image/label counts differ"),
+        ("train --data MISMATCHED_IDX --widths 2 --epochs 1", 1,
+         "image/label counts differ: 3 images in "),
         ("train --data HUGE_IDX --widths 4 --epochs 1", 1,
          "train-images-idx3-ubyte: the header claims 4611686014132420609 bytes, the file holds 0"),
         ("train --data EMPTY_IDX --widths 4", 1,
          "train-images-idx3-ubyte: the header's image count is 0"),
         ("train --data EMPTY_WIDE_IDX --widths 4", 1,
          "train-images-idx3-ubyte: the header's image count is 0"),
+        ("train --data NO_PIXELS_IDX --widths 4 --epochs 1", 1,
+         "train-images-idx3-ubyte: the header's images are 0x0"),
         ("cover --checkpoint CHECKPOINT --alphas 1 --class-j 0 --layer 0", 2,
          "argument --layer: expected an integer >= 1, got '0'"),
         ("cover --checkpoint CHECKPOINT --alphas 1 --class-j 0 --layer 3", 1,
@@ -654,7 +657,7 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "analyze-layer-4", "analyze-cap-1", "sweep-cap-1", "sweep-layer-0", "sweep-layer-4",
          "bounds-k--1", "bounds-classes-1", "bounds-degree-0", "bounds-target--1",
          "bounds-free-layer-3", "idx-counts-differ", "idx-header-too-large", "idx-no-images",
-         "idx-no-images-wide", "cover-layer-0", "cover-layer-3"],
+         "idx-no-images-wide", "idx-no-pixels", "cover-layer-0", "cover-layer-3"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
@@ -662,7 +665,7 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
              "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
              "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched",
              "HUGE_IDX": tmp_path / "huge", "EMPTY_IDX": tmp_path / "empty",
-             "EMPTY_WIDE_IDX": tmp_path / "empty-wide"}
+             "EMPTY_WIDE_IDX": tmp_path / "empty-wide", "NO_PIXELS_IDX": tmp_path / "no-pixels"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
@@ -680,6 +683,9 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
         (files[name] / "train-images-idx3-ubyte").write_bytes(
             struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 0, side, side))
         data.write_idx_labels(files[name] / "train-labels-idx1-ubyte", [])
+    files["NO_PIXELS_IDX"].mkdir()  # three images of 0x0 pixels
+    data.write_idx_images(files["NO_PIXELS_IDX"] / "train-images-idx3-ubyte", np.zeros((3, 0)), 0, 0)
+    data.write_idx_labels(files["NO_PIXELS_IDX"] / "train-labels-idx1-ubyte", [0, 1, 0])
     argv = [str(files.get(token, token)) for token in argv.split()] + ["--out", str(tmp_path / "o")]
     try:
         rc = main(argv)

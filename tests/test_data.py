@@ -89,6 +89,24 @@ def test_idx_dataset_pair(tmp_path):
     assert np.array_equal(ds.labels, train.labels)
 
 
+def test_idx_pair_of_unequal_counts_names_both_files(tmp_path):
+    images, labels = tmp_path / "train-images-idx3-ubyte", tmp_path / "train-labels-idx1-ubyte"
+    data.write_idx_images(images, np.zeros((3, 4)), 2, 2)
+    data.write_idx_labels(labels, [0, 1])
+    with pytest.raises(data.FormatError) as info:
+        data.load_idx_dataset(tmp_path)
+    assert str(info.value) == f"image/label counts differ: 3 images in {images}, 2 labels in {labels}"
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (0, 28), (28, 0)])
+def test_idx_images_without_pixels_are_a_format_error(tmp_path, rows, cols):
+    p = tmp_path / "no-pixels"
+    p.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 3, rows, cols))
+    with pytest.raises(data.FormatError) as info:
+        data.load_idx_images(p)
+    assert str(info.value) == f"no pixels in {p}: the header's images are {rows}x{cols}"
+
+
 def test_csv_points_with_and_without_labels(tmp_path):
     p = tmp_path / "pts.csv"
     p.write_text("0.5,1.5,0\n2.5,3.5,1\n")
@@ -140,6 +158,8 @@ def test_dataset_validation():
         data.Dataset(features=np.zeros((2, 2)), labels=np.array([0, 5]), n_classes=2)
     with pytest.raises(ValueError):
         data.Dataset(features=np.full((1, 2), np.nan), labels=np.array([0]), n_classes=2)
+    with pytest.raises(ValueError, match="^features must have at least one column$"):
+        data.Dataset(features=np.zeros((3, 0)), labels=np.array([0, 1, 0]), n_classes=2)
 
 
 def test_synthetic_dataset_deterministic_and_idx_exact(tmp_path):

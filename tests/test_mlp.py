@@ -56,6 +56,8 @@ def test_forward_shape_mismatch():
         mlp.forward(net, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="^expected width 4 at layer 2, got 5$"):
         mlp.forward(net, np.zeros((2, 5)), from_layer=2)
+    with pytest.raises(ValueError, match="^expected width 3 at layer 0, got 5$"):
+        mlp.forward(net, np.zeros((6, 1, 5)))
     for from_layer in (-1, 3):
         with pytest.raises(ValueError, match=r"from_layer must be in 0\.\.2"):
             mlp.forward(net, np.zeros((2, 4)), from_layer=from_layer)

@@ -221,7 +221,7 @@ def _assert_qr_pivots(mats):
     import scipy.linalg
 
     for mat in mats:
-        pivots, free = sa._pivot_columns(mat, layer=1)
+        pivots, free, _ = sa._pivot_columns(mat, layer=1)
         qr_pivots = np.sort(scipy.linalg.qr(mat, pivoting=True)[2][: len(mat)])
         np.testing.assert_array_equal(pivots, qr_pivots)
         assert sorted([*pivots, *free]) == list(range(mat.shape[1]))
@@ -252,7 +252,7 @@ def test_pivot_columns_take_the_first_of_tied_columns():
         column = rng.normal(size=rows)
         column *= (np.linalg.norm(mat, axis=0).max() + 1.0) / np.linalg.norm(column)
         mat[:, first] = mat[:, second] = column
-        pivots, _ = sa._pivot_columns(mat, layer=1)
+        pivots, _, _ = sa._pivot_columns(mat, layer=1)
         assert first in pivots and second not in pivots
         mats.append(mat)
     _assert_qr_pivots(mats)
@@ -305,6 +305,74 @@ def test_rank_deficient_pivot_blocks_raise_without_warnings(mat):
     assert err.value.layer == 4
     smallest = float(str(err.value).split("smallest singular value ")[1].split()[0])
     assert 0.0 <= smallest < sa.RANK_TOLERANCE
+
+
+def svd_only_rank_error(block, layer):
+    """The rank check of a square pivot block as the SVD alone decides it:
+    the RankDeficiencyError text, or None when the block passes."""
+    smallest = np.linalg.svd(block, compute_uv=False)[-1]
+    if smallest < sa.RANK_TOLERANCE:
+        return (f"pivot block at layer {layer} is rank deficient "
+                f"(smallest singular value {smallest:.3e} < {sa.RANK_TOLERANCE})")
+    return None
+
+
+def block_with_singular_values(rng, values):
+    n = len(values)
+    u = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return (u * values) @ v.T
+
+
+@pytest.mark.parametrize("multiple", [0.5, 0.99, 1.01, 2.0, 4.0])
+def test_inverse_certificate_decides_as_the_svd(multiple):
+    # square blocks, so the pivot block is the matrix itself, with smallest
+    # singular value multiple * RANK_TOLERANCE and largest 1, 1e6 or 1e7;
+    # the ill-conditioned ones round enough that a certificate without its
+    # factor 2 passes some blocks the SVD rejects
+    rng = np.random.default_rng(round(multiple * 100))
+    for largest in (1.0, 1e6, 1e7):
+        for _ in range(100):
+            n = int(rng.integers(1, 7))
+            values = np.geomspace(multiple * sa.RANK_TOLERANCE, largest, n)
+            block = block_with_singular_values(rng, values)
+            expected = svd_only_rank_error(block, layer=3)
+            try:
+                pivots, free, inv = sa._pivot_columns(block, layer=3)
+            except sa.RankDeficiencyError as err:
+                assert (str(err), err.layer) == (expected, 3)
+            else:
+                assert expected is None
+                assert np.array_equal(pivots, np.arange(n)) and len(free) == 0
+                assert np.array_equal(inv, np.linalg.inv(block))
+
+
+def test_only_uncertified_pivot_blocks_take_an_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(14)
+    for batch_norm in (False, True):
+        for _ in range(4):
+            net = benchmark_shaped_relu_net(rng, batch_norm)
+            for j in range(4):
+                others = [q for q in range(4) if q != j]
+                for layer in (1, 2):
+                    sa.solve_relu_boundary(net, j, others[:2], layer)
+    assert calls == []
+    for multiple, svds in ((0.99, 1), (1.01, 1), (4.0, 0)):
+        calls.clear()
+        block = block_with_singular_values(rng, [multiple * sa.RANK_TOLERANCE, 0.5, 1.0])
+        try:
+            sa._pivot_columns(block, layer=1)
+        except sa.RankDeficiencyError:
+            pass
+        assert len(calls) == svds
 
 
 def test_solution_dimensions_follow_rank_nullity():
@@ -509,6 +577,69 @@ def test_sample_boundary_equals_the_batch_loop_on_random_nets():
                             )
     # every branch of the sampler was taken
     assert outcomes == {"proven empty", "empty", "short", "first batch", "later batch"}
+
+
+def loop_margin(net, point):
+    """``verify_ambiguity``'s worst margin as a loop over classes on a
+    one-row forward of the point."""
+    _, logits, _ = mlp.forward(net, point.coords.reshape(1, -1), from_layer=point.layer)
+    logits = logits[0]
+    scale = max(float(np.max(np.abs(logits))), 1e-12)
+    worst = 0.0
+    for a in point.alphas:
+        worst = max(worst, abs(float(logits[point.class_j] - logits[a])) / scale)
+    for q in range(net.n_classes):
+        if q != point.class_j and q not in point.alphas:
+            worst = max(worst, float(logits[q] - logits[point.class_j]) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("batch_norm", [False, True])
+def test_stacked_forward_and_margins_equal_one_point_at_a_time(batch_norm):
+    # every point of a piece, sampled or drawn off the boundary, gets from
+    # one stacked forward the logits and margin a forward of its own gives
+    rng = np.random.default_rng(22 + batch_norm)
+    pieces = 0
+    for _ in range(6):
+        net = benchmark_shaped_relu_net(rng, batch_norm)
+        j = int(rng.integers(4))
+        others = [q for q in range(4) if q != j]
+        for alphas in ([others[0]], others[1:]):
+            for layer in (1, 2):
+                sol = sa.solve_relu_boundary(net, j, alphas, layer)
+                points = list(sa.sample_boundary(sol, 20, box=1.5, seed=int(rng.integers(2**31))).points)
+                pieces += bool(points)
+                points += [dataclasses.replace(p, coords=rng.uniform(0.0, 2.0, p.coords.shape))
+                           for p in points[:5]]
+                if not points:
+                    continue
+                coords = np.stack([p.coords for p in points])
+                stacked = mlp.forward(net, coords[:, None, :], from_layer=layer)
+                for i, row in enumerate(coords):
+                    single = mlp.forward(net, row[None, :], from_layer=layer)
+                    for got, want in zip([*stacked[0], *stacked[1:]], [*single[0], *single[1:]]):
+                        assert got.shape[1:] == want.shape
+                        assert np.array_equal(got[i], want)
+                margins = sa._worst_margins(net, layer, j, sol.alphas, coords)
+                expected = [loop_margin(net, p) for p in points]
+                assert np.array_equal(margins, expected)
+                assert [sa.verify_ambiguity(net, p) for p in points] == [(m <= 1e-6, m) for m in expected]
+    assert pieces >= 8
+
+
+def test_sampled_points_equal_matrix_vector_products_on_wide_pieces():
+    # pieces without constraints, of up to 64 coordinates and 16 free
+    # variables: each point is particular + basis @ row, bit for bit
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        width, n_free, count = (int(k) for k in rng.integers(1, [65, 17, 41]))
+        sol = sa.AffineSolution(
+            class_j=0, alphas=(1,), layer=1,
+            particular=rng.normal(size=width), basis=rng.normal(size=(width, n_free)),
+            constraint_matrix=np.zeros((0, n_free)), constraint_offset=np.zeros(0),
+        )
+        assert_sampler_matches_loop(sol, count, box=1.5, seed=int(rng.integers(2**31)),
+                                    max_attempts=None)
 
 
 def piece_values(net, sol, u):
