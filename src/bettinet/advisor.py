@@ -14,25 +14,23 @@ number detects.
 
 ``layer_profile``'s ``max_dim`` sets what a profile holds.  At 0 each
 class gets only its b0 curve, exact from a minimum spanning tree;
-``width_sweep`` reads nothing else, and runs it serially, because a class
-costs milliseconds (about 2 ms at 100 points), less than starting a worker.
-At 1 (the default, and what ``analyze`` computes) each class gets its
-dim-1 Rips barcode and b0/b1 curves; these computations are independent
-and may run in parallel (``jobs``); results do not depend on the level of
-parallelism.  The pool pays only from 500 points per class.  Whole
-``analyze --layer 3`` runs on 2 cores, 10 classes of 784-D images and a
-784-16-16-16-10 net, three runs each:
+``width_sweep`` reads nothing else.  At 1 (the default, and what
+``analyze`` computes) each class gets its dim-1 Rips barcode and b0/b1
+curves.  Either way the classes are profiled one after another in the
+calling process.  A pool of two worker processes was slower at the
+default cap, and 8% faster at cap 500, close to the largest cap that the
+Rips size guard admits (it refuses 520).  Whole ``analyze --layer 3`` runs
+on 2 cores, 10 classes of 784-D images and a 784-16-16-16-10 net, three
+runs each:
 
-    cap   --jobs 1              --jobs 2
-    200   1.41, 1.42, 2.01 s    1.61, 1.63, 1.63 s
-    300   2.28, 2.50, 2.77 s    2.48, 2.68, 2.95 s
-    500   6.97, 7.16, 7.58 s    5.94, 6.22, 7.58 s
+    cap   one process           pool of 2
+    200   1.26, 1.30, 1.31 s    1.53, 1.70, 1.99 s
+    500   7.43, 7.45, 7.65 s    6.47, 6.86, 7.14 s
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -110,8 +108,7 @@ def default_radius_grid(max_distance: float) -> np.ndarray:
     return np.geomspace(DEFAULT_MIN_RADIUS, top, DEFAULT_GRID_SIZE)
 
 
-def _curves_for_cloud(args) -> ClassCurves:
-    dist, grid, max_dim = args
+def _curves_for_cloud(dist: np.ndarray, grid: np.ndarray, max_dim: int) -> ClassCurves:
     if max_dim == 0:
         return ClassCurves(grid=grid, b0=b0_curve(dist, grid), b1=None, barcode=None)
     barcode = rips_persistence(dist, max_dim=1)
@@ -147,7 +144,6 @@ def layer_profile(
     per_class_cap: int = DEFAULT_CLASS_CAP,
     radius_grid: Optional[np.ndarray] = None,
     seed: int = 0,
-    jobs: int = 1,
     max_dim: int = 1,
 ) -> ClassProfile:
     """Per-class b0 (and at ``max_dim=1`` b1) curves of the layer outputs
@@ -168,14 +164,8 @@ def layer_profile(
         max_dist = max((float(d.max()) for d in dists.values()), default=0.0)
         radius_grid = default_radius_grid(max_dist)
     grid = np.asarray(radius_grid, dtype=np.float64)
-
-    tasks = [(dist, grid, max_dim) for dist in dists.values()]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_curves_for_cloud, tasks))
-    else:
-        results = [_curves_for_cloud(t) for t in tasks]
-    return ClassProfile(curves=dict(zip(dists, results)), grid=grid)
+    curves = {c: _curves_for_cloud(dist, grid, max_dim) for c, dist in dists.items()}
+    return ClassProfile(curves=curves, grid=grid)
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,7 @@ Exit codes: 0 on success (including mathematically empty results), 1 on
 runtime failure, 2 on usage errors.
 
 Each command imports only the layers it runs, so a short ``homology`` or
-``bounds`` run does not load the trainer, the cover solver or the process
-pool.
+``bounds`` run does not load the trainer or the cover solver.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD, data
@@ -180,13 +180,11 @@ def _write_profile_files(out: Path, tag: str, profile):
 
 
 def cmd_analyze(args, out: Path) -> int:
-    import warnings
-
     from . import advisor, mlp
 
     dataset = _load_dataset(args.data, args.label_col)
     net = mlp.load_checkpoint(args.checkpoint)
-    sample = dict(per_class_cap=args.cap, seed=args.seed, jobs=args.jobs)
+    sample = dict(per_class_cap=args.cap, seed=args.seed)
     # the layer first, so that a layer the net lacks fails before any homology
     lay = advisor.layer_profile(net, dataset, args.layer, **sample)
     with warnings.catch_warnings():
@@ -303,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_CLASS_CAP)
     p.add_argument("--threshold", type=_finite_nonnegative, default=DEFAULT_THRESHOLD)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=_positive_int, default=1)
 
     p = sub.add_parser("sweep", help="width sweep: accuracy and layer b0")
     add_data_flags(p)
@@ -346,11 +343,18 @@ def _user_errors():
     return (ValueError, FileNotFoundError, TrainingDivergedError)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     """Parse ``argv``, make ``--out``, write its ``config.echo`` and run the
-    command; returns the exit code."""
+    command; returns the exit code.  A warning that is shown prints as one
+    ``warning:`` line, like the ``error:`` lines; one that a caller records
+    (``warnings.catch_warnings(record=True)``) stays a warning."""
     args = build_parser().parse_args(argv)
     out = Path(args.out)
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_config_echo(out, args)
@@ -358,6 +362,8 @@ def main(argv=None) -> int:
     except _user_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

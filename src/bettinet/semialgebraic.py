@@ -551,7 +551,7 @@ def _accepted(sol: AffineSolution, u: np.ndarray) -> np.ndarray:
     full = len(u) - len(u) % _BATCH
     mat, off = sol.constraint_matrix, sol.constraint_offset
     return np.concatenate([
-        np.all(part @ mat.T + off >= -POSITIVITY_TOLERANCE, axis=2).ravel()
+        (part @ mat.T + off >= -POSITIVITY_TOLERANCE).all(axis=2).ravel()
         for part in (u[:full].reshape(full // _BATCH, _BATCH, u.shape[1]), u[None, full:])
     ])
 

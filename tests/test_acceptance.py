@@ -308,7 +308,7 @@ def test_criterion_09_desk_scale_trends(desk_scale_idx):
     train, test = desk_scale_idx
     assert len(train) == 2000 and len(test) == 1000
 
-    input_prof = advisor.layer_profile(None, train, 0, per_class_cap=200, seed=0, jobs=2)
+    input_prof = advisor.layer_profile(None, train, 0, per_class_cap=200, seed=0)
     sweep = advisor.width_sweep(
         widths=[4, 16, 64],
         seeds=[1, 2, 3],
@@ -358,11 +358,11 @@ def test_criterion_10_polynomial_layer_descent(desk_scale_idx):
     net = mlp.build_network([train.dim, 4, 4, 4, train.n_classes], mlp.poly_activation(), seed=1)
     mlp.train_sgd(net, train, mlp.TrainConfig(epochs=3, lr=0.01, batch_size=32, seed=1))
 
-    first = advisor.layer_profile(net, train, layer=1, per_class_cap=200, seed=0, jobs=2)
+    first = advisor.layer_profile(net, train, layer=1, per_class_cap=200, seed=0)
     shared_grid = first.grid
     profiles = [first] + [
         advisor.layer_profile(
-            net, train, layer=layer, per_class_cap=200, radius_grid=shared_grid, seed=0, jobs=2
+            net, train, layer=layer, per_class_cap=200, radius_grid=shared_grid, seed=0
         )
         for layer in (2, 3)
     ]

@@ -166,43 +166,6 @@ def test_input_profile_invariant_under_rotation():
         assert np.array_equal(a.curves[c].b1, b.curves[c].b1)
 
 
-def test_jobs_parallelism_matches_serial():
-    ds = blobs_dataset(per_class=25)
-    serial = advisor.layer_profile(None, ds, 0, per_class_cap=25, seed=0, jobs=1)
-    parallel = advisor.layer_profile(None, ds, 0, per_class_cap=25, seed=0, jobs=2)
-    for c in (0, 1):
-        assert np.array_equal(serial.curves[c].b0, parallel.curves[c].b0)
-        assert np.array_equal(serial.curves[c].b1, parallel.curves[c].b1)
-
-
-def test_pool_is_capped_at_the_class_count(monkeypatch):
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    workers = []
-    ds, _ = make_image_dataset(60, 10, seed=4, side=4, classes=3)
-    serial = advisor.layer_profile(None, ds, 0, per_class_cap=12, seed=0, jobs=1)
-    monkeypatch.setattr(advisor, "ProcessPoolExecutor", SerialPool)
-    capped = advisor.layer_profile(None, ds, 0, per_class_cap=12, seed=0, jobs=10**6)
-    assert workers == [3]
-    assert np.array_equal(serial.grid, capped.grid)
-    assert capped.class_ids() == serial.class_ids() == (0, 1, 2)
-    for c in serial.class_ids():
-        assert np.array_equal(serial.curves[c].b0, capped.curves[c].b0)
-        assert np.array_equal(serial.curves[c].b1, capped.curves[c].b1)
-        assert serial.curves[c].barcode == capped.curves[c].barcode
-
-
 def test_compare_identical_profiles_no_flags():
     ds = blobs_dataset(per_class=25)
     prof = advisor.layer_profile(None, ds, 0, per_class_cap=25)

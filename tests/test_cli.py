@@ -256,15 +256,12 @@ def test_training_commands_reject_bad_flags_as_usage_errors(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_a_usage_error(idx_dir, tmp_path, capsys, command, jobs):
     out = tmp_path / "o"
-    required = {
-        "analyze": ["--checkpoint", str(tmp_path / "ck.json"), "--layer", "1"],
-        "sweep": ["--widths", "2", "--seeds", "1"],
-    }[command]
-    argv = [command, "--data", str(idx_dir), *required, "--jobs", jobs, "--out", str(out)]
+    argv = [command, "--data", str(idx_dir), "--widths", "2", "--seeds", "1", "--jobs", jobs,
+            "--out", str(out)]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -436,9 +433,9 @@ def test_missing_test_data_exits_1_with_a_message(idx_dir, tmp_path, capsys):
 
 def test_cli_import_and_homology_load_no_scipy(tmp_path):
     # numpy computes the distances, the persistence, the spanning tree and
-    # the cover solver's pivot columns, so no command loads scipy; and each
-    # command imports only the bettinet layers it runs, so only the two that
-    # profile classes load the process pool
+    # the cover solver's pivot columns, so no command loads scipy; each
+    # command imports only the bettinet layers it runs; and every command
+    # runs in one process, so none loads a process pool
     pts = tmp_path / "sq.csv"
     pts.write_text("0,0\n1,0\n1,1\n0,1\n")
     train, _ = data.make_image_dataset(40, 10, seed=3, side=4, classes=2)
@@ -485,8 +482,7 @@ def test_cli_import_and_homology_load_no_scipy(tmp_path):
             assert [m for m in modules if m.split(".")[0] == "scipy"] == [], command
         assert {m for m in imported if m.split(".")[0] == "bettinet"} == base
         assert {m for m in loaded if m.split(".")[0] == "bettinet"} == expected, command
-        assert pool_modules & set(loaded) == (pool_modules if command in ("analyze", "sweep")
-                                              else set()), command
+        assert pool_modules & set(loaded) == set(), command
     assert (tmp_path / "homology" / "barcode.txt").read_text().startswith("0,0,1\n")
     assert len((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()) == 1
     assert (tmp_path / "cover" / "cover.txt").read_text().startswith("boundary cover report")
@@ -556,6 +552,36 @@ def test_analyze_warns_once_of_a_skipped_class(tmp_path):
     assert result.stderr.count("class 1 has 1 point(s); skipped") == 1
     assert (tmp_path / "a" / "input_class_0.csv").exists()
     assert not (tmp_path / "a" / "input_class_1.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "analyze", "sweep"])
+def test_console_prints_each_warning_as_one_line(tmp_path, command):
+    # in a fresh interpreter, as the console shows it: the whole stderr is
+    # one "warning: <message>" line per warning, without the source line
+    csv = tmp_path / "singleton.csv"
+    csv.write_text("0,0,0\n1,0,0\n2,1,0\n0,1,1\n")
+    checkpoint = tmp_path / "relu.json"
+    mlp.save_checkpoint(mlp.build_network([2, 3, 2], mlp.relu_activation(), seed=1), checkpoint)
+    training_split = "accuracy is measured on the training split"
+    skipped = "warning: class 1 has 1 point(s); skipped\n"
+    argv, stderr = {
+        "bounds": (["--widths", "2,8,8", "--classes", "2", "--act", "relu"],
+                   "warning: bound formulas assume a non-increasing architecture; widths "
+                   "(2, 8, 8, 2) violate it and the value is only heuristic\n"),
+        "analyze": (["--data", str(csv), "--checkpoint", str(checkpoint), "--layer", "1",
+                     "--cap", "2"],
+                    f"{skipped}warning: analyze reads only --data; {training_split}\n"),
+        "sweep": (["--data", str(csv), "--widths", "2,3", "--seeds", "1,2", "--epochs", "1",
+                   "--cap", "2"],
+                  f"warning: no --test-data and no test split in {csv}; {training_split}\n"
+                  f"{skipped}"),
+    }[command]
+    src = str(Path(bettinet.__file__).resolve().parents[1])
+    code = f"import sys; sys.path.insert(0, {src!r}); import bettinet.cli; sys.exit(bettinet.cli.main())"
+    result = subprocess.run([sys.executable, "-c", code, command, *argv, "--out",
+                             str(tmp_path / "o")], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == stderr
 
 
 def test_analyze_fails_on_a_missing_layer_before_any_homology(
