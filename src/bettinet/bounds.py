@@ -125,6 +125,8 @@ def log10_of_int(x: int) -> float:
 
 def _layers(arch: ArchitectureSpec) -> range:
     """The layers with a bound: 1..l-1 for ReLU, 0..l-1 for a polynomial."""
+    if arch.activation.kind == "relu" and arch.depth < 2:
+        raise ValueError("a ReLU bound needs a hidden layer")
     return range(1 if arch.activation.kind == "relu" else 0, arch.depth)
 
 

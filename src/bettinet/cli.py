@@ -352,7 +352,10 @@ def main(argv=None) -> int:
     command; returns the exit code.  A warning that is shown prints as one
     ``warning:`` line, like the ``error:`` lines; one that a caller records
     (``warnings.catch_warnings(record=True)``) stays a warning."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "free_layer", None) is not None and args.min_width_target is None:
+        parser.error("argument --free-layer: needs --min-width-target")
     out = Path(args.out)
     formatwarning, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:

@@ -395,9 +395,9 @@ def train_sgd_stack(
     bit for bit as ``train_sgd`` leaves it on its own.
 
     Returns, per net, its ``TrainLog`` or the ``TrainingDivergedError`` that
-    stopped it.  A net whose loss turns NaN leaves the stack with its
-    parameters and running statistics as they were before the failing step;
-    the others go on.
+    stopped it.  A net whose loss turns NaN gets back its parameters and
+    running statistics from before the failing step, and stays in the
+    stack: its later steps are computed and ignored, and the others go on.
     """
     if not nets or len(nets) != len(configs):
         raise ValueError("need one config per net, and at least one net")
@@ -431,17 +431,16 @@ def train_sgd_stack(
     # every step's rows are decoded into this one buffer
     batch = np.empty(len(nets) * min(batch_size, len(dataset)) * dataset.dim)
     rngs = [np.random.default_rng(config.seed) for config in configs]
-    alive = list(range(len(nets)))  # the nets still in the stack, in stack order
     results = [None] * len(nets)
-    losses, accs = [[] for _ in nets], [[] for _ in nets]
+    # per epoch and net: the summed batch losses and the rows classified right
+    loss_sums = np.zeros((epochs, len(nets)))
+    hits = np.zeros((epochs, len(nets)), dtype=np.intp)
     size = len(dataset)
     # a diverging step overflows before its loss turns NaN; the NaN check
     # below is the diagnostic, so numpy's floating-point warnings are muted
     with np.errstate(all="ignore"):
         for epoch in range(epochs):
-            order = np.stack([rngs[i].permutation(size) for i in alive])
-            epoch_loss = np.zeros(len(alive))
-            correct = np.zeros(len(alive), dtype=np.intp)
+            order = np.stack([rng.permutation(size) for rng in rngs])
             for start in range(0, size, batch_size):
                 idx = order[:, start : start + batch_size]
                 y = dataset.labels[idx]
@@ -450,35 +449,26 @@ def train_sgd_stack(
                     arrays[:n_params], eps, first.activation, x, y,
                     outputs[:n_params], outputs[n_params:],
                 )
-                diverged = np.isnan(loss)
-                if diverged.any():
-                    for k in np.flatnonzero(diverged):
-                        _unstack(arrays, k, nets[alive[k]])
-                        results[alive[k]] = TrainingDivergedError(
+                for k in np.flatnonzero(np.isnan(loss)).tolist():
+                    if results[k] is None:
+                        _unstack(arrays, k, nets[k])
+                        results[k] = TrainingDivergedError(
                             f"NaN loss at epoch {epoch}, batch starting {start}; "
                             "try a smaller learning rate"
                         )
-                    keep = ~diverged
-                    alive = [i for i, kept in zip(alive, keep) if kept]
-                    if not alive:
-                        return results
-                    state, scratch = state[keep], scratch[keep]
-                    arrays, outputs = _views(state, shapes), _views(scratch, shapes)
-                    order, y, loss, probs, epoch_loss, correct = (
-                        a[keep] for a in (order, y, loss, probs, epoch_loss, correct)
-                    )
-                epoch_loss += loss * idx.shape[1]
-                correct += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
+                if None not in results:
+                    return results
+                loss_sums[epoch] += loss * idx.shape[1]
+                hits[epoch] += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
                 scratch *= rate
                 state[:, :split] -= scratch[:, :split]
                 state[:, split:] *= decay
                 state[:, split:] += scratch[:, split:]
-            for k, i in enumerate(alive):
-                losses[i].append(float(epoch_loss[k]) / size)
-                accs[i].append(int(correct[k]) / size)
-    for k, i in enumerate(alive):
-        _unstack(arrays, k, nets[i])
-        results[i] = TrainLog(epoch_losses=tuple(losses[i]), epoch_accuracies=tuple(accs[i]))
+    losses, accs = (loss_sums / size).T.tolist(), (hits / size).T.tolist()
+    for k, net in enumerate(nets):
+        if results[k] is None:
+            _unstack(arrays, k, net)
+            results[k] = TrainLog(tuple(losses[k]), tuple(accs[k]))
     return results
 
 

@@ -661,6 +661,11 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "argument --min-width-target: expected an integer >= 0, got '-1'"),
         ("bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 1 --free-layer 3", 1,
          "layer must be in 1..2, got 3"),
+        ("bounds --widths 3,2 --classes 2 --act relu --free-layer 7", 2,
+         "argument --free-layer: needs --min-width-target"),
+        ("bounds --widths 3 --classes 2 --act relu", 1, "a ReLU bound needs a hidden layer"),
+        ("bounds --widths 3 --classes 2 --act relu --min-width-target 5", 1,
+         "a ReLU bound needs a hidden layer"),
         ("train --data MISMATCHED_IDX --widths 2 --epochs 1", 1,
          "image/label counts differ: 3 images in "),
         ("train --data HUGE_IDX --widths 4 --epochs 1", 1,
@@ -682,7 +687,8 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",
          "analyze-layer-4", "analyze-cap-1", "sweep-cap-1", "sweep-layer-0", "sweep-layer-4",
          "bounds-k--1", "bounds-classes-1", "bounds-degree-0", "bounds-target--1",
-         "bounds-free-layer-3", "idx-counts-differ", "idx-header-too-large", "idx-no-images",
+         "bounds-free-layer-3", "bounds-free-layer-without-target", "bounds-relu-no-hidden",
+         "bounds-relu-no-hidden-target", "idx-counts-differ", "idx-header-too-large", "idx-no-images",
          "idx-no-images-wide", "idx-no-pixels", "cover-layer-0", "cover-layer-3"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):

@@ -304,6 +304,34 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
     assert non_apparent > 0
 
 
+def _noisy_torus(n_u, n_v, seed):
+    rng = np.random.default_rng(seed)
+    u = (np.repeat(np.arange(n_u), n_v) + rng.uniform(0, 1, n_u * n_v)) * 2 * np.pi / n_u
+    v = (np.tile(np.arange(n_v), n_u) + rng.uniform(0, 1, n_u * n_v)) * 2 * np.pi / n_v
+    ring = 2.0 + 0.8 * np.cos(v)
+    pts = np.stack([ring * np.cos(u), ring * np.sin(u), 0.8 * np.sin(v)], axis=1)
+    return pts + rng.normal(scale=0.05, size=pts.shape)
+
+
+@pytest.mark.parametrize("max_dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_apparent_pairs_are_born_at_their_pivots_birth(max_dim, seed):
+    # the coboundary reduction makes no bar of an apparent pair: the column
+    # is its pivot's latest facet, so it is born when the pivot is.  Checked
+    # on every column, as clearing only removes some, of a noisy torus and a
+    # cloud of rounded coordinates, whose distances tie
+    rng = np.random.default_rng([27, max_dim, seed])
+    torus = _noisy_torus(*((15, 8) if max_dim == 1 else (10, 6)), seed)
+    for pts in (torus, np.round(rng.normal(size=(40, 3)), 1)):
+        filt = H.build_rips(H.pairwise_distances(pts), max_dim)
+        for d in range(1, max_dim + 1):
+            ranks = H._birth_ranks(filt, d)
+            keys, cols = H._apparent_pairs(filt, d, ranks, np.zeros(len(ranks), dtype=bool))
+            assert len(cols) > 100
+            born = filt.births_by_dim[d][cols]
+            assert np.array_equal(born, filt.edge_lengths[keys // filt.n_vertices ** (d + 2)])
+
+
 def _dim0_edge_cases():
     rng = np.random.default_rng(20)
     generic = H.pairwise_distances(rng.normal(size=(7, 2)))

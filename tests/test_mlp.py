@@ -193,8 +193,9 @@ def test_a_diverging_net_leaves_the_stack_and_the_others_go_on():
     configs = [mlp.TrainConfig(epochs=3, lr=0.02, batch_size=32, seed=4 + k) for k in range(3)]
     solo = [_train_state(mlp.train_sgd, build(k), train_ds, configs[k]) for k in range(3)]
     assert _stack_states([build(k) for k in range(3)], train_ds, configs) == solo
-    # the middle net fails in the ragged last batch of the first epoch, so the
-    # stack loses it in mid-epoch, after the others have taken two steps
+    # the middle net fails in the ragged last batch of the first epoch, after
+    # the others have taken two steps; it stays in the stack, ignored, and
+    # gets back its arrays from before that batch
     assert solo[1][0].startswith("diverged: NaN loss at epoch 0, batch starting 64;")
     assert all(outcome.startswith("TrainLog(") for outcome, _ in solo[::2])
 
