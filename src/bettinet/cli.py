@@ -47,11 +47,17 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-_parse_int_list = _checked(
-    lambda text: [int(p) for p in text.split(",") if p != ""],
-    lambda _: True,
-    "comma-separated integers",
-)
+def _int_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",") if p != ""]
+
+
+_parse_int_list = _checked(_int_list, lambda _: True, "comma-separated integers")
+
+
+def _int_list_at_least(low: int):
+    return _checked(
+        _int_list, lambda values: all(v >= low for v in values), f"comma-separated integers >= {low}"
+    )
 
 
 def _int_at_least(low: int):
@@ -255,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bounds", help="closed-form per-layer Betti bound table")
-    p.add_argument("--widths", type=_parse_int_list, required=True, help="n_0,...,n_{l-1}")
+    p.add_argument("--widths", type=_int_list_at_least(1), required=True, help="n_0,...,n_{l-1}")
     p.add_argument("--classes", type=_int_at_least(2), required=True)
     p.add_argument("--act", choices=["relu", "poly"], required=True)
     p.add_argument("--degree", type=_positive_int, default=2, help="polynomial activation degree")
@@ -289,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a dense classifier")
     add_data_flags(p)
-    p.add_argument("--widths", type=_parse_int_list, required=True, help="hidden widths")
+    p.add_argument("--widths", type=_int_list_at_least(1), required=True, help="hidden widths")
     add_training_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--no-batch-norm", action="store_true")
 
     p = sub.add_parser("analyze", help="input vs layer topology profiles")
@@ -300,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=_positive_int, required=True)
     p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_CLASS_CAP)
     p.add_argument("--threshold", type=_finite_nonnegative, default=DEFAULT_THRESHOLD)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = sub.add_parser("sweep", help="width sweep: accuracy and layer b0")
     add_data_flags(p)
     p.add_argument("--test-data", default=None)
-    p.add_argument("--widths", type=_parse_int_list, required=True)
-    p.add_argument("--seeds", type=_parse_int_list, required=True)
+    p.add_argument("--widths", type=_int_list_at_least(1), required=True)
+    p.add_argument("--seeds", type=_int_list_at_least(0), required=True)
     add_training_flags(p)
     p.add_argument("--layer", type=_positive_int, default=None)
     p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_CLASS_CAP)
@@ -325,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_checked(float, lambda b: 0 < b < math.inf, "a finite number > 0"),
         default=1.0,
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--tol", type=_finite_nonnegative, default=1e-6)
 
     for name, p in sub.choices.items():

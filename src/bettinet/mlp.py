@@ -412,22 +412,19 @@ def train_sgd_stack(
         raise ValueError("dataset width does not match the network input")
     norms = [block.norm for block in first.hidden]
     eps = [None if norm is None else norm.eps for norm in norms]
-    # each net's arrays, parameters then running statistics (``_net_arrays``),
-    # as (out, in) weights and (1, n) vectors
-    shapes = [a.reshape(-1, a.shape[-1]).shape for a in _net_arrays(first)]
+    # each array of the nets (``_net_arrays``) stacked: (S, out, in) weights
+    # and (S, 1, n) vectors; ``scratch`` takes a step's gradients and batch
+    # statistics in the same shapes
+    arrays = [
+        np.stack([a.reshape(-1, a.shape[-1]) for a in same])
+        for same in zip(*map(_net_arrays, nets))
+    ]
+    scratch = [np.empty_like(a) for a in arrays]
     n_params = len(list(_param_items(first)))
-    split = sum(math.prod(shape) for shape in shapes[:n_params])
-    # one row per net: ``state`` holds every array of the net, ``scratch`` a
-    # step's gradients and batch statistics in the same places, so an update
-    # is four numpy calls for the whole stack
-    state = np.stack([np.concatenate([a.ravel() for a in _net_arrays(net)]) for net in nets])
-    scratch = np.empty_like(state)
-    # one momentum per running statistic: mean and variance of each normalized block
+    params, stats = arrays[:n_params], arrays[n_params:]
+    grads, batch_stats = scratch[:n_params], scratch[n_params:]
+    # the momentum of each running statistic: mean and variance of each normalized block
     momenta = [norm.momentum for norm in norms if norm is not None for _ in range(2)]
-    momentum = np.repeat(momenta, [math.prod(shape) for shape in shapes[n_params:]])
-    decay = 1.0 - momentum
-    rate = np.concatenate([np.full(split, lr), momentum])  # scales gradients and batch statistics
-    arrays, outputs = _views(state, shapes), _views(scratch, shapes)
     # every step's rows are decoded into this one buffer
     batch = np.empty(len(nets) * min(batch_size, len(dataset)) * dataset.dim)
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -445,10 +442,7 @@ def train_sgd_stack(
                 idx = order[:, start : start + batch_size]
                 y = dataset.labels[idx]
                 x = dataset.rows(idx, out=batch[: idx.size * dataset.dim].reshape(*idx.shape, -1))
-                loss, probs = _loss_and_grads(
-                    arrays[:n_params], eps, first.activation, x, y,
-                    outputs[:n_params], outputs[n_params:],
-                )
+                loss, probs = _loss_and_grads(params, eps, first.activation, x, y, grads, batch_stats)
                 for k in np.flatnonzero(np.isnan(loss)).tolist():
                     if results[k] is None:
                         _unstack(arrays, k, nets[k])
@@ -460,27 +454,19 @@ def train_sgd_stack(
                     return results
                 loss_sums[epoch] += loss * idx.shape[1]
                 hits[epoch] += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
-                scratch *= rate
-                state[:, :split] -= scratch[:, :split]
-                state[:, split:] *= decay
-                state[:, split:] += scratch[:, split:]
+                for param, grad in zip(params, grads):
+                    grad *= lr
+                    param -= grad
+                for stat, batch_stat, m in zip(stats, batch_stats, momenta):
+                    batch_stat *= m
+                    stat *= 1.0 - m
+                    stat += batch_stat
     losses, accs = (loss_sums / size).T.tolist(), (hits / size).T.tolist()
     for k, net in enumerate(nets):
         if results[k] is None:
             _unstack(arrays, k, net)
             results[k] = TrainLog(tuple(losses[k]), tuple(accs[k]))
     return results
-
-
-def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """One (S, *shape) view per shape into consecutive columns of the
-    (S, total) buffer ``flat``."""
-    views, start = [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        views.append(flat[:, start:stop].reshape(len(flat), *shape))
-        start = stop
-    return views
 
 
 def _unstack(arrays, k: int, net: Network):

@@ -240,7 +240,8 @@ def test_train_and_sweep_with_a_polynomial_activation(idx_dir, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--epochs", "0"), ("--epochs", "-1"), ("--batch-size", "0"), ("--batch-size", "-5"),
-     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1"), ("--degree", "-1"), ("--degree", "0")],
+     ("--lr", "nan"), ("--lr", "inf"), ("--lr", "-0.1"), ("--degree", "-1"), ("--degree", "0"),
+     ("--widths", "4,-1")],
 )
 def test_training_commands_reject_bad_flags_as_usage_errors(
     idx_dir, tmp_path, capsys, command, flag, value
@@ -337,7 +338,7 @@ def test_cover_command_trained_net(idx_dir, tmp_path):
 @pytest.mark.parametrize(
     "flag, value",
     [("--count", "0"), ("--count", "-1"), ("--box", "inf"), ("--box", "nan"), ("--box", "-1"),
-     ("--box", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+     ("--box", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--seed", "-1")],
 )
 def test_cover_rejects_bad_sampling_flags_as_usage_errors(tmp_path, capsys, flag, value):
     out = tmp_path / "c"
@@ -615,8 +616,18 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
         (f"{_BOUNDS} -1", 1, "layer must be in 1..2, got -1"),
         (f"{_COVER} 9", 1, "class_j must be in 0..2, got 9"),
         (f"{_COVER} -1", 1, "class_j must be in 0..2, got -1"),
-        ("train --data IDX --widths 0 --epochs 1", 1, "all widths must be >= 1"),
-        ("sweep --data IDX --widths 0 --seeds 1 --epochs 1", 1, "all widths must be >= 1"),
+        ("train --data IDX --widths 0 --epochs 1", 2,
+         "argument --widths: expected comma-separated integers >= 1, got '0'"),
+        ("sweep --data IDX --widths 0 --seeds 1 --epochs 1", 2,
+         "argument --widths: expected comma-separated integers >= 1, got '0'"),
+        ("bounds --widths 8,0,3 --classes 3 --act relu", 2,
+         "argument --widths: expected comma-separated integers >= 1, got '8,0,3'"),
+        ("train --data IDX --widths 2 --epochs 1 --seed -1", 2,
+         "argument --seed: expected an integer >= 0, got '-1'"),
+        ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --seed -1", 2,
+         "argument --seed: expected an integer >= 0, got '-1'"),
+        ("sweep --data IDX --widths 2 --seeds 1,-2 --epochs 1", 2,
+         "argument --seeds: expected comma-separated integers >= 0, got '1,-2'"),
         ("homology --points FOUR_COLUMNS --label-col 7", 1, "line 1: no label column 7 in 4 columns"),
         ("homology --points INF_LABEL --label-col 2", 1, "line 2: label column is not an integer"),
         ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --threshold nan", 2,
@@ -682,7 +693,8 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "layer must be in 1..2, got 3"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
-         "sweep-widths-0", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
+         "sweep-widths-0", "bounds-widths-0", "train-seed--1", "analyze-seed--1",
+         "sweep-seeds--1", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
          "checkpoint-json-list", "max-dim-3", "max-dim--1", "max-radius-0", "max-radius-nan",
          "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",
          "analyze-layer-4", "analyze-cap-1", "sweep-cap-1", "sweep-layer-0", "sweep-layer-4",

@@ -117,8 +117,21 @@ def _train_state(train, net, ds, config):
     return outcome, [a.tobytes() for a in arrays]
 
 
+def _build(widths, act, seed, batch_norm):
+    """``build_network``; ``batch_norm`` is a bool, or the (momentum, eps)
+    of each hidden block's batch norm."""
+    net = mlp.build_network(widths, act, seed=seed, batch_norm=bool(batch_norm))
+    if not isinstance(batch_norm, bool):
+        for block, (momentum, eps) in zip(net.hidden, batch_norm, strict=True):
+            block.norm.momentum, block.norm.eps = momentum, eps
+    return net
+
+
 _ORACLE_CASES = [
     pytest.param([8, 8], mlp.relu_activation(), True, 0.05, id="relu-bn"),
+    # each running statistic must move with its own block's momentum
+    pytest.param([8, 8], mlp.relu_activation(), [(0.9, 1e-3), (0.0, 1e-5)], 0.05,
+                 id="relu-bn-own-momentum-and-eps"),
     pytest.param([8, 5], mlp.relu_activation(), False, 0.05, id="relu"),
     pytest.param([6], mlp.poly_activation((0.1, 0.5, 0.3)), True, 0.05, id="poly-bn"),
     pytest.param([6, 4], mlp.poly_activation((0.1, 0.5, 0.3)), False, 0.02, id="poly"),
@@ -134,7 +147,7 @@ def test_train_sgd_bit_identical_to_the_dict_based_oracle(hidden, act, batch_nor
     config = mlp.TrainConfig(epochs=3, lr=lr, batch_size=32, seed=4)
     states = []
     for train in (mlp.train_sgd, sgd_oracle.train_sgd):
-        net = mlp.build_network([train_ds.dim, *hidden, 3], act, seed=1, batch_norm=batch_norm)
+        net = _build([train_ds.dim, *hidden, 3], act, 1, batch_norm)
         states.append(_train_state(train, net, train_ds, config))
     assert states[0] == states[1]
     # the diverging run fails in its second epoch, after 4 updates
@@ -169,7 +182,7 @@ def test_train_sgd_stack_bit_identical_to_solo_runs(hidden, act, batch_norm, lr,
     train_ds, _ = make_image_dataset(70, 10, seed=2, side=6, classes=3)
 
     def build(k):
-        return mlp.build_network([train_ds.dim, *hidden, 3], act, seed=1 + k, batch_norm=batch_norm)
+        return _build([train_ds.dim, *hidden, 3], act, 1 + k, batch_norm)
 
     configs = [mlp.TrainConfig(epochs=3, lr=lr, batch_size=batch_size, seed=4 + k) for k in range(3)]
     solo = [_train_state(mlp.train_sgd, build(k), train_ds, configs[k]) for k in range(3)]
