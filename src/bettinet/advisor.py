@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD
+from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD, SWEEP_HIDDEN_LAYERS
 from .data import Dataset
 from .homology import (
     Barcode,
@@ -72,8 +72,6 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 64
 DEFAULT_MIN_RADIUS = 1e-3
-# hidden layers of every ``width_sweep`` net
-SWEEP_HIDDEN_LAYERS = 3
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD, data
+from . import DEFAULT_CLASS_CAP, DEFAULT_THRESHOLD, SWEEP_HIDDEN_LAYERS, data
 
 __all__ = ["main", "build_parser"]
 
@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--widths", type=_int_list_at_least(1), required=True)
     p.add_argument("--seeds", type=_int_list_at_least(0), required=True)
     add_training_flags(p)
-    p.add_argument("--layer", type=_positive_int, default=None)
+    p.add_argument("--layer", type=_checked(int, lambda v: 1 <= v <= SWEEP_HIDDEN_LAYERS,
+                                            f"an integer in 1..{SWEEP_HIDDEN_LAYERS}"), default=None)
     p.add_argument("--cap", type=_int_at_least(2), default=DEFAULT_CLASS_CAP)
     p.add_argument(
         "--jobs", type=_positive_int, default=1, help="no effect: sweep computes only b0, serially"

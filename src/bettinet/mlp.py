@@ -7,6 +7,7 @@ affine maps; X^0 is the input and X^k (k = 1..l-1) is the post-activation,
 post-batch-norm output of hidden block k.  Inference mode uses running
 batch-norm statistics, so activation extraction is a deterministic affine
 function of the patterns and repeated extractions agree bit for bit.
+``Network`` holds every rule of a valid network and checks it when made.
 
 Training is deterministic given its seed and the BLAS thread count: BLAS
 may split a product differently across threads and round it differently.
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
+# the per-unit arrays of a ``BatchNorm``, as checkpoints name them
+BATCH_NORM_VECTORS = ("gamma", "beta", "running_mean", "running_var")
 # Rows that ``evaluate_accuracy`` decodes and forwards at a time.
 EVAL_BLOCK_ROWS = 256
 
@@ -74,10 +77,8 @@ class ActivationFn:
             raise ValueError(f"unknown activation {self.kind!r}")
         if self.kind == "poly" and len(self.coeffs) < 2:
             raise ValueError("polynomial activation needs degree >= 1")
-
-    @property
-    def degree(self) -> int:
-        return 0 if self.kind == "relu" else len(self.coeffs) - 1
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValueError("polynomial coefficients must be finite")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "relu":
@@ -105,12 +106,6 @@ class DenseLayer:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
 
-    def __post_init__(self):
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ValueError("weight must be (out, in) with matching bias")
-        if not (np.all(np.isfinite(self.weight)) and np.all(np.isfinite(self.bias))):
-            raise ValueError("parameters must be finite")
-
 
 @dataclass
 class BatchNorm:
@@ -120,12 +115,6 @@ class BatchNorm:
     running_var: np.ndarray
     eps: float = 1e-5
     momentum: float = 0.1
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
-        if np.any(self.running_var < 0):
-            raise ValueError("running variance must be nonnegative")
 
     def infer(self, a: np.ndarray) -> np.ndarray:
         inv = 1.0 / np.sqrt(self.running_var + self.eps)
@@ -140,9 +129,40 @@ class HiddenBlock:
 
 @dataclass
 class Network:
+    """Made only if valid: each weight is a finite (out, in) array, out and
+    in >= 1, taking the width of the layer below; the bias and batch-norm
+    vectors are finite and of the layer's width; eps is finite and > 0, and
+    running variances are >= 0.  A ValueError names the layer."""
+
     hidden: list[HiddenBlock]
     output: DenseLayer
     activation: ActivationFn
+
+    def __post_init__(self):
+        layers = [(block.dense, block.norm) for block in self.hidden] + [(self.output, None)]
+        for layer, (dense, norm) in enumerate(layers, start=1):
+            where = f"layer {layer}" + (" (output)" if layer == len(layers) else "")
+            weight = dense.weight
+            if weight.ndim != 2 or weight.size == 0:
+                raise ValueError(f"{where}: weight has shape {weight.shape}, not (out, in)")
+            if layer > 1 and weight.shape[1] != width:
+                raise ValueError(f"{where}: weight takes {weight.shape[1]} inputs, "
+                                 f"the layer below gives {width}")
+            width = weight.shape[0]
+            arrays = {"weight": weight, "bias": dense.bias}
+            if norm is not None:
+                arrays.update((f"batch-norm {key}", getattr(norm, key)) for key in BATCH_NORM_VECTORS)
+            for name, array in arrays.items():
+                if name != "weight" and array.shape != (width,):
+                    raise ValueError(f"{where}: {name} has shape {array.shape}, expected ({width},)")
+                if not np.isfinite(array).all():
+                    raise ValueError(f"{where}: {name} is not finite")
+            if norm is None:
+                continue
+            if not 0 < norm.eps < math.inf:
+                raise ValueError(f"{where}: batch-norm eps must be finite and > 0, got {norm.eps}")
+            if (norm.running_var < 0).any():
+                raise ValueError(f"{where}: batch-norm running_var must be >= 0")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -222,8 +242,7 @@ def forward(net: Network, batch: np.ndarray, from_layer: int = 0):
         x = x.reshape(1, -1)
     if not 0 <= from_layer < net.depth:
         raise ValueError(f"from_layer must be in 0..{net.depth - 1}")
-    first = net.hidden[from_layer].dense if from_layer < len(net.hidden) else net.output
-    width = first.weight.shape[1]
+    width = net.widths[from_layer]
     if x.shape[-1] != width:
         raise ValueError(f"expected width {width} at layer {from_layer}, got {x.shape[-1]}")
     activations = []
@@ -559,10 +578,7 @@ def save_checkpoint(net: Network, path):
                 "norm": None
                 if block.norm is None
                 else {
-                    "gamma": block.norm.gamma.tolist(),
-                    "beta": block.norm.beta.tolist(),
-                    "running_mean": block.norm.running_mean.tolist(),
-                    "running_var": block.norm.running_var.tolist(),
+                    **{key: getattr(block.norm, key).tolist() for key in BATCH_NORM_VECTORS},
                     "eps": block.norm.eps,
                     "momentum": block.norm.momentum,
                 },
@@ -576,30 +592,18 @@ def save_checkpoint(net: Network, path):
         f.write("\n")
 
 
-def _load_dense(doc, where: str, fan_in: Optional[int]) -> DenseLayer:
-    weight, bias = np.asarray(doc["weight"]), np.asarray(doc["bias"])
-    if weight.ndim != 2:
-        raise ValueError(f"{where}: weight has shape {weight.shape}, not (out, in)")
-    if fan_in is not None and weight.shape[1] != fan_in:
-        raise ValueError(
-            f"{where}: weight takes {weight.shape[1]} inputs, the layer below gives {fan_in}"
-        )
-    if bias.shape != (weight.shape[0],):
-        raise ValueError(f"{where}: bias has shape {bias.shape}, expected ({weight.shape[0]},)")
-    return DenseLayer(weight=weight, bias=bias)
+def _arrays(doc, keys) -> dict:
+    return {key: np.asarray(doc[key], dtype=float) for key in keys}
 
 
 def load_checkpoint(path) -> Network:
-    """Read a checkpoint written by ``save_checkpoint``.
-
-    Raises ValueError, naming the file, when it is not a JSON checkpoint,
-    and naming the layer when a weight does not take the width of the layer
-    below or a bias or batch-norm vector does not match its layer's width.
-    """
+    """Read a checkpoint written by ``save_checkpoint``: convert the JSON
+    document into the dataclasses, which ``Network`` checks.  Any fault is
+    a ValueError naming the file, and the layer where one is at fault."""
     with open(path) as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an undecodable byte or an over-long integer
             raise ValueError(f"{path}: not a JSON checkpoint: {exc}") from None
     if not (
         isinstance(doc, dict)
@@ -607,26 +611,21 @@ def load_checkpoint(path) -> Network:
         and doc.get("version") == CHECKPOINT_VERSION
     ):
         raise ValueError(f"{path}: not a version-{CHECKPOINT_VERSION} checkpoint")
-    act = doc["activation"]
-    activation = ActivationFn(act["kind"], tuple(act["coeffs"]))
-    hidden = []
-    fan_in = None
-    for layer, blk in enumerate(doc["hidden"], start=1):
-        dense = _load_dense(blk, f"{path}: layer {layer}", fan_in)
-        fan_in = dense.weight.shape[0]
-        norm = None
-        if blk["norm"] is not None:
+    where = f"{path}: "  # and the layer being converted
+    try:
+        act = doc["activation"]
+        activation = ActivationFn(act["kind"], tuple(float(c) for c in act["coeffs"]))
+        hidden = []
+        for layer, blk in enumerate(doc["hidden"], start=1):
+            where = f"{path}: layer {layer}: "
             nd = blk["norm"]
-            vectors = {
-                key: np.asarray(nd[key]) for key in ("gamma", "beta", "running_mean", "running_var")
-            }
-            for key, vec in vectors.items():
-                if vec.shape != (fan_in,):
-                    raise ValueError(
-                        f"{path}: layer {layer}: batch-norm {key} has shape {vec.shape}, "
-                        f"expected ({fan_in},)"
-                    )
-            norm = BatchNorm(**vectors, eps=nd["eps"], momentum=nd["momentum"])
-        hidden.append(HiddenBlock(dense=dense, norm=norm))
-    output = _load_dense(doc["output"], f"{path}: layer {len(hidden) + 1} (output)", fan_in)
-    return Network(hidden=hidden, output=output, activation=activation)
+            norm = None if nd is None else BatchNorm(
+                **_arrays(nd, BATCH_NORM_VECTORS), eps=float(nd["eps"]), momentum=float(nd["momentum"]))
+            hidden.append(HiddenBlock(dense=DenseLayer(**_arrays(blk, ("weight", "bias"))), norm=norm))
+        where = f"{path}: layer {len(hidden) + 1} (output): "
+        output = DenseLayer(**_arrays(doc["output"], ("weight", "bias")))
+        where = f"{path}: "  # a broken rule names its own layer
+        return Network(hidden=hidden, output=output, activation=activation)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        reason = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{where}{reason}") from None

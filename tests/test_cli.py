@@ -605,6 +605,16 @@ def test_analyze_fails_on_a_missing_layer_before_any_homology(
     assert calls == []
 
 
+_BROKEN_CHECKPOINTS = {
+    "NO_ACTIVATION": lambda doc: doc.pop("activation"),
+    "NO_MOMENTUM": lambda doc: doc["hidden"][0]["norm"].pop("momentum"),
+    "STRING_EPS": lambda doc: doc["hidden"][0]["norm"].update(eps="small"),
+    "STRING_WEIGHT": lambda doc: doc["hidden"][1]["weight"][0].__setitem__(1, "x"),
+    "STRING_COEFFS": lambda doc: doc.update(activation={"kind": "poly", "coeffs": ["zero", "one"]}),
+    # json writes the literal NaN, and Python's json reads it back
+    "NAN_GAMMA": lambda doc: doc["hidden"][1]["norm"]["gamma"].__setitem__(0, float("nan")),
+    "HUGE_BIAS": lambda doc: doc["output"]["bias"].__setitem__(2, 10**400),
+}
 _BOUNDS = "bounds --widths 8,4,3 --classes 3 --act relu --min-width-target 10 --free-layer"
 _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
 
@@ -659,9 +669,9 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
         ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --cap 1", 2,
          "argument --cap: expected an integer >= 2, got '1'"),
         ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --layer 0", 2,
-         "argument --layer: expected an integer >= 1, got '0'"),
-        ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --layer 4", 1,
-         "layer must be in 1..3, got 4"),
+         "argument --layer: expected an integer in 1..3, got '0'"),
+        ("sweep --data IDX --widths 2 --seeds 1 --epochs 1 --layer 4", 2,
+         "argument --layer: expected an integer in 1..3, got '4'"),
         ("bounds --widths 8,4,3 --classes 3 --act relu --k -1", 2,
          "argument --k: expected an integer >= 0, got '-1'"),
         ("bounds --widths 8,4,3 --classes 1 --act relu", 2,
@@ -691,6 +701,19 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "argument --layer: expected an integer >= 1, got '0'"),
         ("cover --checkpoint CHECKPOINT --alphas 1 --class-j 0 --layer 3", 1,
          "layer must be in 1..2, got 3"),
+        (f"{_COVER} 0 --checkpoint NO_ACTIVATION", 1, "no_activation.json: missing field 'activation'"),
+        (f"{_COVER} 0 --checkpoint NO_MOMENTUM", 1, "no_momentum.json: layer 1: missing field 'momentum'"),
+        (f"{_COVER} 0 --checkpoint STRING_EPS", 1,
+         "string_eps.json: layer 1: could not convert string to float: 'small'"),
+        (f"{_COVER} 0 --checkpoint STRING_WEIGHT", 1,
+         "string_weight.json: layer 2: could not convert string to float: 'x'"),
+        ("analyze --data IDX --checkpoint STRING_COEFFS --layer 1", 1,
+         "string_coeffs.json: could not convert string to float: 'zero'"),
+        (f"{_COVER} 0 --checkpoint NAN_GAMMA", 1, "nan_gamma.json: layer 2: batch-norm gamma is not finite"),
+        (f"{_COVER} 0 --checkpoint HUGE_BIAS", 1,
+         "huge_bias.json: layer 3 (output): int too large to convert to float"),
+        (f"{_COVER} 0 --checkpoint HUGE_INT", 1,
+         "huge_int.json: not a JSON checkpoint: Exceeds the limit (4300 digits)"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "bounds-widths-0", "train-seed--1", "analyze-seed--1",
@@ -701,7 +724,10 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "bounds-k--1", "bounds-classes-1", "bounds-degree-0", "bounds-target--1",
          "bounds-free-layer-3", "bounds-free-layer-without-target", "bounds-relu-no-hidden",
          "bounds-relu-no-hidden-target", "idx-counts-differ", "idx-header-too-large", "idx-no-images",
-         "idx-no-images-wide", "idx-no-pixels", "cover-layer-0", "cover-layer-3"],
+         "idx-no-images-wide", "idx-no-pixels", "cover-layer-0", "cover-layer-3",
+         "checkpoint-no-activation", "checkpoint-no-momentum", "checkpoint-string-eps",
+         "checkpoint-string-weight", "checkpoint-string-coeffs", "checkpoint-nan-gamma",
+         "checkpoint-huge-bias", "checkpoint-huge-int"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
     files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
@@ -709,11 +735,18 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
              "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
              "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched",
              "HUGE_IDX": tmp_path / "huge", "EMPTY_IDX": tmp_path / "empty",
-             "EMPTY_WIDE_IDX": tmp_path / "empty-wide", "NO_PIXELS_IDX": tmp_path / "no-pixels"}
+             "EMPTY_WIDE_IDX": tmp_path / "empty-wide", "NO_PIXELS_IDX": tmp_path / "no-pixels",
+             "HUGE_INT": tmp_path / "huge_int.json"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
+    for name, corrupt in _BROKEN_CHECKPOINTS.items():  # each an edited copy of CHECKPOINT
+        doc = json.loads(files["CHECKPOINT"].read_text())
+        corrupt(doc)
+        files[name] = tmp_path / f"{name.lower()}.json"
+        files[name].write_text(json.dumps(doc))
     files["FOUR_COLUMNS"].write_text("0,0,0,0\n1,0,0,1\n")
     files["INF_LABEL"].write_text("0,0,1\n1,1,inf\n")
     files["JSON_LIST"].write_text("[1, 2]\n")
+    files["HUGE_INT"].write_text("[" + "9" * 5000 + "]\n")  # past Python's int-parsing limit
     files["HUGE_LABEL"].write_text("0,0,0\n1,1,1e18\n2,0,1\n")
     files["SINGLETONS"].write_text("0,0,0\n1,1,1\n2,0,2\n")
     files["MISMATCHED_IDX"].mkdir()

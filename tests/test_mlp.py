@@ -1,4 +1,5 @@
 import tracemalloc
+from operator import setitem
 
 import numpy as np
 import pytest
@@ -377,6 +378,55 @@ def test_checkpoint_shapes_checked_at_load(tmp_path, layer, corrupt, message):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(message)):
         mlp.load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda net: setattr(net.output, "weight", net.output.weight[None]),
+         "layer 3 (output): weight has shape (1, 2, 4), not (out, in)"),
+        (lambda net: setattr(net.hidden[0].dense, "weight", np.zeros((5, 0))),
+         "layer 1: weight has shape (5, 0), not (out, in)"),
+        (lambda net: setattr(net.hidden[1].dense, "weight", net.hidden[1].dense.weight[:, 1:]),
+         "layer 2: weight takes 4 inputs, the layer below gives 5"),
+        (lambda net: setattr(net.output, "bias", np.zeros(3)),
+         "layer 3 (output): bias has shape (3,), expected (2,)"),
+        (lambda net: setattr(net.hidden[1].norm, "beta", np.zeros(5)),
+         "layer 2: batch-norm beta has shape (5,), expected (4,)"),
+        (lambda net: setitem(net.hidden[0].dense.weight, (2, 1), np.inf), "layer 1: weight is not finite"),
+        (lambda net: setitem(net.output.bias, 0, np.nan), "layer 3 (output): bias is not finite"),
+        (lambda net: setitem(net.hidden[1].norm.gamma, 0, np.nan),
+         "layer 2: batch-norm gamma is not finite"),
+        (lambda net: setitem(net.hidden[0].norm.running_mean, 4, -np.inf),
+         "layer 1: batch-norm running_mean is not finite"),
+        (lambda net: setattr(net.hidden[0].norm, "eps", 0.0),
+         "layer 1: batch-norm eps must be finite and > 0, got 0.0"),
+        (lambda net: setattr(net.hidden[1].norm, "eps", -1e-5),
+         "layer 2: batch-norm eps must be finite and > 0, got -1e-05"),
+        (lambda net: setattr(net.hidden[1].norm, "eps", np.nan),
+         "layer 2: batch-norm eps must be finite and > 0, got nan"),
+        (lambda net: setattr(net.hidden[0].norm, "eps", np.inf),
+         "layer 1: batch-norm eps must be finite and > 0, got inf"),
+        (lambda net: setitem(net.hidden[1].norm.running_var, 3, -1e-9),
+         "layer 2: batch-norm running_var must be >= 0"),
+    ],
+    ids=["weight-3d", "weight-empty", "fan-in", "bias-width", "beta-width", "weight-inf", "bias-nan",
+         "gamma-nan", "running-mean-inf", "eps-0", "eps-negative", "eps-nan", "eps-inf",
+         "running-var-negative"],
+)
+def test_network_rules_name_the_layer(corrupt, message):
+    import re
+
+    net = mlp.build_network([3, 5, 4, 2], mlp.relu_activation(), seed=2, batch_norm=True)
+    mlp.Network(hidden=net.hidden, output=net.output, activation=net.activation)
+    corrupt(net)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mlp.Network(hidden=net.hidden, output=net.output, activation=net.activation)
+
+
+def test_poly_activation_needs_finite_coefficients():
+    with pytest.raises(ValueError, match="polynomial coefficients must be finite"):
+        mlp.poly_activation([0.0, np.nan, 1.0])
 
 
 def test_poly_forward_agrees_with_symbolic_composition():
