@@ -190,6 +190,9 @@ def cmd_analyze(args, out: Path) -> int:
 
     dataset = _load_dataset(args.data, args.label_col)
     net = mlp.load_checkpoint(args.checkpoint)
+    if net.widths[0] != dataset.dim:
+        raise ValueError(f"{args.checkpoint} takes inputs of width {net.widths[0]}, "
+                         f"but {args.data} has {dataset.dim} features")
     sample = dict(per_class_cap=args.cap, seed=args.seed)
     # the layer first, so that a layer the net lacks fails before any homology
     lay = advisor.layer_profile(net, dataset, args.layer, **sample)
@@ -342,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _user_errors():
-    """The errors that bad input or a diverging run raise: ``main`` prints
-    them as one line and exits 1.  Evaluated only when an error reaches
-    ``main``, so commands that never train do not load ``mlp``."""
+    """The errors of bad input, a path that cannot be read or a diverging
+    run: ``main`` prints them as one line and exits 1.  Evaluated only when
+    an error reaches ``main``, so commands that never train do not load ``mlp``."""
     from .mlp import TrainingDivergedError
 
-    return (ValueError, FileNotFoundError, TrainingDivergedError)
+    return (ValueError, OSError, TrainingDivergedError)
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:

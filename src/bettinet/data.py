@@ -256,7 +256,8 @@ def load_idx_dataset(directory, split: str = "train") -> Dataset:
 def load_csv_points(path, label_col: int | None = None, class_limit: int | None = None):
     """Comma-separated float rows; returns (points, labels-or-None).
 
-    Malformed rows raise FormatError naming the 1-based line number;
+    A file that is not UTF-8 text raises FormatError naming the file, and
+    a malformed row one naming its 1-based line number;
     ``label_col`` selects a column (negative indices allowed) holding class
     ids, removed from the coordinates.  A label outside 0..class_limit-1,
     or without ``class_limit`` outside int64, is malformed too.
@@ -265,31 +266,35 @@ def load_csv_points(path, label_col: int | None = None, class_limit: int | None 
     labels = []
     width = None
     low, high = (0, class_limit) if class_limit is not None else (-(2**63), 2**63)
-    with open(path) as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
-            if width is None:
-                width = len(row)
-                if label_col is not None and not -width <= label_col < width:
-                    raise FormatError(f"{path}: line {lineno}: no label column {label_col} in {width} columns")
-            elif len(row) != width:
-                raise FormatError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
-            if label_col is not None:
-                label = row[label_col]
-                if not label.is_integer():
-                    raise FormatError(f"{path}: line {lineno}: label column is not an integer")
-                if not low <= label < high:
-                    raise FormatError(f"{path}: line {lineno}: label {label:.0f} is outside {low}..{high - 1}")
-                labels.append(int(label))
-                del row[label_col]
-            points.append(row)
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise FormatError(f"{path}: line {lineno}: non-numeric value") from None
+        if width is None:
+            width = len(row)
+            if label_col is not None and not -width <= label_col < width:
+                raise FormatError(f"{path}: line {lineno}: no label column {label_col} in {width} columns")
+        elif len(row) != width:
+            raise FormatError(f"{path}: line {lineno}: expected {width} columns, got {len(row)}")
+        if label_col is not None:
+            label = row[label_col]
+            if not label.is_integer():
+                raise FormatError(f"{path}: line {lineno}: label column is not an integer")
+            if not low <= label < high:
+                raise FormatError(f"{path}: line {lineno}: label {label:.0f} is outside {low}..{high - 1}")
+            labels.append(int(label))
+            del row[label_col]
+        points.append(row)
     if not points:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(points, dtype=np.float64), (np.asarray(labels, dtype=np.int64) if label_col is not None else None)

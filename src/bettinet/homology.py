@@ -196,26 +196,33 @@ def _enclosing_radius(arr: np.ndarray) -> float:
 class Filtration:
     """Rips filtration in columnar form.
 
-    ``verts_by_dim[d]`` is an (m_d, d+1) int array whose rows are sorted by
-    (birth, lexicographic vertices); ``births_by_dim[d]`` matches row-wise.
-    Both hold dimensions 0 to ``max_dim``.  The top dimension, ``max_dim+1``,
-    is only counted (``top_count``): its simplices are the cliques one vertex
-    larger, read from ``edge_rank`` when they are needed.  A simplex's birth
-    rank is the rank of its longest edge among ``edge_lengths`` (0 for a
-    vertex); ``edge_rank[u, v]`` is the rank of edge uv, or
-    ``len(edge_lengths)`` where uv is no edge of the filtration, u == v
-    included.  The global filtration order interleaves dimensions by
-    (birth, dim, lex).
+    ``keys_by_dim[d]`` holds the sorted keys (see ``_keys``) of the
+    d-simplices, so they run in (birth, lexicographic) order, and
+    ``verts_by_dim[d]`` their vertices, an (m_d, d+1) int array, row by row;
+    a key's birth rank is key // n**(d+1).  Both hold dimensions 0 to
+    ``max_dim``.  The top dimension, ``max_dim+1``, is only counted
+    (``top_count``): its simplices are the cliques one vertex larger, read
+    from ``edge_rank`` when they are needed.  A simplex's birth rank is the
+    rank of its longest edge among ``edge_lengths`` (0 for a vertex);
+    ``edge_rank[u, v]`` is the rank of edge uv, or ``len(edge_lengths)``
+    where uv is no edge of the filtration, u == v included.  The global
+    filtration order interleaves dimensions by (birth, dim, lex).
     """
 
     n_vertices: int
     verts_by_dim: tuple[np.ndarray, ...]
-    births_by_dim: tuple[np.ndarray, ...]
+    keys_by_dim: tuple[np.ndarray, ...]
     max_dim: int
     max_radius: float
     edge_rank: np.ndarray
     edge_lengths: np.ndarray
     top_count: int
+
+    @property
+    def births_by_dim(self) -> tuple[np.ndarray, ...]:
+        """Each stored simplex's birth, row by row: its rank's edge length, 0 for a vertex."""
+        n, keys = self.n_vertices, self.keys_by_dim
+        return (np.zeros(n),) + tuple(self.edge_lengths[keys[d] // n ** (d + 1)] for d in range(1, len(keys)))
 
     @property
     def top_dim(self) -> int:
@@ -226,7 +233,7 @@ class Filtration:
         return sum(self.counts())
 
     def counts(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.births_by_dim) + (self.top_count,)
+        return tuple(len(k) for k in self.keys_by_dim) + (self.top_count,)
 
 
 def _check_filtration_size(adj: np.ndarray, max_dim: int) -> list[int]:
@@ -291,15 +298,15 @@ def _keys(ranks: np.ndarray, cols: list, n: int) -> np.ndarray:
 
 
 def _sorted_by_birth_then_lex(cols: list, ranks: np.ndarray, n: int):
-    """The simplices sorted by key; returns their vertex columns and birth
-    ranks."""
-    key = _keys(ranks, cols, n)
-    key.sort()
-    digits = []
+    """The simplices sorted by key; returns their sorted keys, vertex
+    columns and birth ranks."""
+    keys = _keys(ranks, cols, n)
+    keys.sort()
+    digits, rest = [], keys
     for _ in cols:
-        key, v = np.divmod(key, n)
+        rest, v = np.divmod(rest, n)
         digits.append(v.astype(np.int32))
-    return digits[::-1], key
+    return keys, digits[::-1], rest
 
 
 def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtration:
@@ -334,21 +341,21 @@ def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtra
     edge_rank[iu, ju] = edge_rank[ju, iu] = ranks
 
     verts_by_dim = [np.arange(n, dtype=np.int32).reshape(n, 1)]
-    births_by_dim = [np.zeros(n)]
+    keys_by_dim = [np.arange(n, dtype=np.int64)]  # a vertex's key is the vertex
     cols = [iu.astype(np.int32), ju.astype(np.int32)]
     for d in range(1, max_dim + 1):
         if d >= 2:
             cols, ranks = _extend_cliques(cols, ranks, adj, edge_rank)
-        cols, ranks = _sorted_by_birth_then_lex(cols, ranks, n)
+        keys, cols, ranks = _sorted_by_birth_then_lex(cols, ranks, n)
         verts_by_dim.append(np.column_stack(cols))
-        births_by_dim.append(values[ranks])
+        keys_by_dim.append(keys)
 
-    for a in verts_by_dim + births_by_dim + [edge_rank, values]:
+    for a in verts_by_dim + keys_by_dim + [edge_rank, values]:
         a.flags.writeable = False
     return Filtration(
         n_vertices=n,
         verts_by_dim=tuple(verts_by_dim),
-        births_by_dim=tuple(births_by_dim),
+        keys_by_dim=tuple(keys_by_dim),
         max_dim=max_dim,
         max_radius=float(max_radius),
         edge_rank=edge_rank,
@@ -406,11 +413,6 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 _HORIZON_STEP = 256
 
 
-def _birth_ranks(filt: Filtration, d: int) -> np.ndarray:
-    """Birth rank of each stored d-simplex (0 for a vertex)."""
-    return np.searchsorted(filt.edge_lengths, filt.births_by_dim[d]).astype(np.int32)
-
-
 def _cofacet_ranks(filt: Filtration, verts: np.ndarray, ranks) -> np.ndarray:
     """Birth ranks of the cofacets c + w of the simplices c, rows of
     ``verts`` (or one vertex row) with birth ranks ``ranks``, over the
@@ -460,9 +462,9 @@ def _latest_facet(edge_rank: np.ndarray, cols: list, n: int) -> np.ndarray:
     return np.argmax(scores, axis=0)
 
 
-def _apparent_pairs(filt: Filtration, d: int, ranks: np.ndarray, cleared: np.ndarray):
-    """The apparent pairs (Bauer 2021) of the degree-d columns that are not
-    cleared, as (pivot keys, columns), both sorted by key.
+def _apparent_pairs(filt: Filtration, d: int, ranks: np.ndarray, todo: np.ndarray):
+    """The apparent pairs (Bauer 2021) of the degree-d columns in the mask
+    ``todo``, as (pivot keys, columns), both sorted by key.
 
     Column c pairs apparently with its earliest cofacet t when c is t's
     latest facet.  No column reduced before c can hold t, so c pairs with t
@@ -473,7 +475,7 @@ def _apparent_pairs(filt: Filtration, d: int, ranks: np.ndarray, cleared: np.nda
     # columns and pivot keys per block; the empty first entry gives
     # concatenate an input when no column is open
     found = [(_EMPTY, _EMPTY)]
-    open_cols = np.flatnonzero(~cleared)
+    open_cols = np.flatnonzero(todo)
     step = max(1, _BLOCK // n)
     for start in range(0, len(open_cols), step):
         cols = open_cols[start : start + step]
@@ -498,13 +500,13 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     (see ``_keys``) of the (d+1)-simplices paired with a d-simplex.
 
     Serves degrees d >= 1 (dim 0 is ``_dim0_block``).  Columns are the
-    non-cleared d-simplices processed in reverse filtration order; rows are
-    (d+1)-simplices, named by their keys and never stored: the cofacets of c
-    are c + w, born at the larger of c's birth rank and the edge ranks from
-    w to c's vertices, and ordered by (birth rank, w).  The pivot of a
-    reduced column is the earliest cofacet, pairing (d-simplex birth,
-    (d+1)-simplex death) exactly as the left-to-right boundary reduction
-    does.
+    d-simplices whose keys are not in ``cleared``, the rows killed in degree
+    d-1, in reverse filtration order; rows are (d+1)-simplices, named by
+    their keys and never stored: the cofacets of c are c + w, born at the
+    larger of c's birth rank and the edge ranks from w to c's vertices, and
+    ordered by (birth rank, w).  The pivot of a reduced column is the
+    earliest cofacet, pairing (d-simplex birth, (d+1)-simplex death) exactly
+    as the left-to-right boundary reduction does.
 
     An apparent pair gives no bar, as its column c is born with its pivot t:
     t has a vertex x off its longest edge, so the facet t - x is born with
@@ -512,45 +514,44 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
 
     Per-pair state is numpy arrays: an apparent pair costs 16 bytes, its
     pivot key and column, and most pairs are apparent (35 553 of the 35 674
-    on a 300-point noisy torus at dim 1).  Only the pivots that the
-    reduction creates go in a dict, and only the columns it reduces keep
-    their keys; an apparent column added to another is recomputed from its
-    vertices.  Each reduced column is split at a birth-rank horizon (see
-    ``_reduce_column``), so its keys past the horizon are sorted once, not
-    at every addition.  On that torus, where one column adds 1 217 others
-    and 2 074 cofacet lists are built in all, the reduction sorts 2.5
-    million keys instead of 14.1 million, and the kernel's tracemalloc peak
-    above its input is 6.4 MB (7.5 MB without the horizon; 16.8 MB with a
-    dict entry per pair and a cache of owner columns).
+    on a 300-point noisy torus at dim 1).  One dict, ``reduced``, maps each
+    pivot the reduction creates to its reduced column, whose sorted keys
+    begin with that pivot; an apparent column added to another is recomputed
+    from its vertices.  Each reduced column is split at a birth-rank
+    horizon (see ``_reduce_column``), so its keys past the horizon are
+    sorted once, not at every addition.  On that torus, where one column
+    adds 1 217 others and 2 074 cofacet lists are built in all, the
+    reduction sorts 2.5 million keys instead of 14.1 million, and the
+    kernel's tracemalloc peak above its input is 6.4 MB (7.5 MB without the
+    horizon; 16.8 MB with a dict entry per pair and a cache of owner
+    columns).
     """
-    verts, births_d, values = filt.verts_by_dim[d], filt.births_by_dim[d], filt.edge_lengths
-    ranks = _birth_ranks(filt, d)
-    keys, cols = _apparent_pairs(filt, d, ranks, cleared)
+    verts, values, d_keys = filt.verts_by_dim[d], filt.edge_lengths, filt.keys_by_dim[d]
+    ranks = (d_keys // filt.n_vertices ** (d + 1)).astype(np.int32)
+    todo = np.ones(len(d_keys), dtype=bool)
+    todo[d_keys.searchsorted(cleared)] = False
+    keys, cols = _apparent_pairs(filt, d, ranks, todo)
     base = filt.n_vertices ** (d + 2)  # a row key's birth rank is key // base
     bars: list[Interval] = []  # the apparent pairs give none
-    todo = ~cleared
     todo[cols] = False
-    created: dict[int, int] = {}  # pivot key -> column, for reduced columns
-    reduced: dict[int, np.ndarray] = {}
+    reduced: dict[int, np.ndarray] = {}  # pivot key -> reduced column
     for c in np.flatnonzero(todo)[::-1].tolist():
-        low = _reduce_column(filt, verts, ranks, c, (keys, cols, created), reduced)
-        if low is None:
-            bars.append(Interval(float(births_d[c]), None))
+        column = _reduce_column(filt, verts, ranks, c, keys, cols, reduced)
+        if column is None:
+            bars.append(Interval(float(values[ranks[c]]), None))
             continue
-        created[low] = c
-        if births_d[c] != values[low // base]:
-            bars.append(Interval(float(births_d[c]), float(values[low // base])))
-    return bars, np.concatenate((keys, np.fromiter(created, dtype=np.int64, count=len(created))))
+        reduced[int(column[0])] = column
+        if ranks[c] != column[0] // base:
+            bars.append(Interval(float(values[ranks[c]]), float(values[column[0] // base])))
+    return bars, np.concatenate((keys, np.fromiter(reduced, dtype=np.int64, count=len(reduced))))
 
 
-def _reduce_column(filt, verts, ranks, c, owners, reduced):
+def _reduce_column(filt, verts, ranks, c, keys, cols, reduced):
     """Add to column c the columns that own its pivot until none does;
-    returns the pivot (None for a zero column) and stores the reduced
-    column, its keys sorted, in ``reduced[c]``.
-
-    ``owners`` is (apparent pivot keys, their columns, created pivots): the
-    first two sorted arrays from ``_apparent_pairs``, the last a dict from
-    the pivots of reduced columns to those columns.
+    returns the reduced column, its keys sorted, the first its pivot, or
+    None for a zero column.  The owners are the apparent columns, whose
+    sorted pivot keys ``keys`` and columns ``cols`` come from
+    ``_apparent_pairs``, and the columns in ``reduced``, keyed by pivot.
 
     The working column is split at a horizon, a birth rank.  The keys born
     at or below it are the sum of two sorted key arrays, which find the
@@ -561,12 +562,11 @@ def _reduce_column(filt, verts, ranks, c, owners, reduced):
     and keys that ``big`` and ``small`` both begin with cancel.  The keys
     born past the horizon are parked unsorted on ``pile``.  Most of them lie
     past the final pivot, and they are sorted once, when the column is
-    stored.  When the keys below the horizon cancel out, the horizon moves
+    returned.  When the keys below the horizon cancel out, the horizon moves
     to the earliest parked key's birth plus a step that doubles each time,
     starting at ``_HORIZON_STEP``, and the parked keys below it, reduced to
     those parked an odd number of times, become ``big``.
     """
-    keys, cols, created = owners
     base = filt.n_vertices ** (verts.shape[1] + 1)  # a key's birth rank is key // base
     big, small, pile, step = _cofacets(filt, verts[c], ranks[c]), _EMPTY, [], _HORIZON_STEP
     if not big.size:
@@ -594,16 +594,13 @@ def _reduce_column(filt, verts, ranks, c, owners, reduced):
             continue
         in_big = not small.size or big.size and big[0] < small[0]
         low = int(big[0] if in_big else small[0])
-        o = created.get(low)
-        if o is not None:
-            add = reduced[o]
-        else:
+        add = reduced.get(low)
+        if add is None:
             i = int(keys.searchsorted(low))
             if i == len(keys) or keys[i] != low:
                 far = np.concatenate([big, small, *pile])
                 pile.clear()  # the parked arrays are freed before far is sorted
-                reduced[c] = _odd_keys(far)
-                return low
+                return _odd_keys(far)
             o = int(cols[i])  # an apparent column is its own reduced form
             add = _cofacets(filt, verts[o], ranks[o])
         # the pivot cancels: it is the first key of both columns
@@ -667,14 +664,6 @@ def _dim0_block(filt: Filtration):
     return bars + [Interval(0.0, None)] * (n - len(killed)), killed
 
 
-def _cleared(filt: Filtration, d: int, killed: np.ndarray) -> np.ndarray:
-    """Mask of the stored d-simplices whose keys are in ``killed``."""
-    keys = _keys(_birth_ranks(filt, d), list(filt.verts_by_dim[d].T), filt.n_vertices)
-    cleared = np.zeros(len(keys), dtype=bool)
-    cleared[np.searchsorted(keys, killed)] = True
-    return cleared
-
-
 def compute_persistence(filt: Filtration) -> Barcode:
     """Standard Z/2 persistence pairing of the filtration.
 
@@ -691,7 +680,7 @@ def compute_persistence(filt: Filtration) -> Barcode:
     bars[0], killed = _dim0_block(filt)
     paired, essential = len(killed), filt.n_vertices - len(killed)
     for d in range(1, filt.max_dim + 1):
-        bars[d], killed = _coboundary_block(filt, d, _cleared(filt, d, killed))
+        bars[d], killed = _coboundary_block(filt, d, killed)
         paired += len(killed)
         essential += sum(1 for iv in bars[d] if iv.is_infinite)
 

@@ -662,7 +662,7 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "no class has two points to profile"),
         ("analyze --data IDX --checkpoint CHECKPOINT --layer 0", 2,
          "argument --layer: expected an integer >= 1, got '0'"),
-        ("analyze --data IDX --checkpoint CHECKPOINT --layer 4", 1,
+        ("analyze --data IDX --checkpoint IDX_CHECKPOINT --layer 4", 1,
          "layer must be in 1..2, got 4"),
         ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --cap 1", 2,
          "argument --cap: expected an integer >= 2, got '1'"),
@@ -714,6 +714,13 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "huge_bias.json: layer 3 (output): int too large to convert to float"),
         (f"{_COVER} 0 --checkpoint HUGE_INT", 1,
          "huge_int.json: not a JSON checkpoint: Exceeds the limit (4300 digits)"),
+        (f"{_COVER} 0 --checkpoint DIR", 1, "Is a directory: '{DIR}'"),
+        ("analyze --data IDX --checkpoint DIR --layer 1", 1, "Is a directory: '{DIR}'"),
+        ("homology --points DIR", 1, "Is a directory: '{DIR}'"),
+        ("analyze --data IDX --checkpoint CHECKPOINT --layer 1", 1,
+         "{CHECKPOINT} takes inputs of width 4, but {IDX} has 64 features"),
+        ("homology --points NOT_UTF8", 1, "{NOT_UTF8}: not UTF-8 text"),
+        ("sweep --data NOT_UTF8 --widths 2 --seeds 1 --epochs 1", 1, "{NOT_UTF8}: not UTF-8 text"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "bounds-widths-0", "train-seed--1", "analyze-seed--1",
@@ -727,16 +734,21 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "idx-no-images-wide", "idx-no-pixels", "cover-layer-0", "cover-layer-3",
          "checkpoint-no-activation", "checkpoint-no-momentum", "checkpoint-string-eps",
          "checkpoint-string-weight", "checkpoint-string-coeffs", "checkpoint-nan-gamma",
-         "checkpoint-huge-bias", "checkpoint-huge-int"],
+         "checkpoint-huge-bias", "checkpoint-huge-int", "cover-checkpoint-dir",
+         "analyze-checkpoint-dir", "homology-points-dir", "analyze-width-mismatch",
+         "homology-not-utf8", "sweep-not-utf8"],
 )
-def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys, argv, code, message):
-    files = {"IDX": idx_dir, "CHECKPOINT": tmp_path / "relu3.json",
+def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, idx_checkpoint, tmp_path, capsys,
+                                                       argv, code, message):
+    # a {NAME} in message stands for the path of file NAME
+    files = {"IDX": idx_dir, "IDX_CHECKPOINT": idx_checkpoint, "CHECKPOINT": tmp_path / "relu3.json",
              "FOUR_COLUMNS": tmp_path / "four.csv", "INF_LABEL": tmp_path / "inf.csv",
              "JSON_LIST": tmp_path / "list.json", "HUGE_LABEL": tmp_path / "huge.csv",
              "SINGLETONS": tmp_path / "singletons.csv", "MISMATCHED_IDX": tmp_path / "mismatched",
              "HUGE_IDX": tmp_path / "huge", "EMPTY_IDX": tmp_path / "empty",
              "EMPTY_WIDE_IDX": tmp_path / "empty-wide", "NO_PIXELS_IDX": tmp_path / "no-pixels",
-             "HUGE_INT": tmp_path / "huge_int.json"}
+             "HUGE_INT": tmp_path / "huge_int.json", "DIR": tmp_path / "a-directory",
+             "NOT_UTF8": tmp_path / "utf16.csv"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     for name, corrupt in _BROKEN_CHECKPOINTS.items():  # each an edited copy of CHECKPOINT
         doc = json.loads(files["CHECKPOINT"].read_text())
@@ -748,7 +760,9 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
     files["JSON_LIST"].write_text("[1, 2]\n")
     files["HUGE_INT"].write_text("[" + "9" * 5000 + "]\n")  # past Python's int-parsing limit
     files["HUGE_LABEL"].write_text("0,0,0\n1,1,1e18\n2,0,1\n")
-    files["SINGLETONS"].write_text("0,0,0\n1,1,1\n2,0,2\n")
+    files["SINGLETONS"].write_text("0,0,0,0,0\n1,1,1,1,1\n2,0,0,0,2\n")  # CHECKPOINT's width
+    files["DIR"].mkdir()
+    files["NOT_UTF8"].write_bytes("0,0,0\n1,1,1\n".encode("utf-16"))  # begins with \xff\xfe
     files["MISMATCHED_IDX"].mkdir()
     data.write_idx_images(files["MISMATCHED_IDX"] / "train-images-idx3-ubyte", np.zeros((3, 4)), 2, 2)
     data.write_idx_labels(files["MISMATCHED_IDX"] / "train-labels-idx1-ubyte", [0, 1])
@@ -775,7 +789,7 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, tmp_path, capsys
     assert "Traceback" not in err
     assert rc == code
     assert err.startswith("error: " if code == 1 else "usage: ")
-    assert message in err
+    assert message.format(**files) in err
 
 
 def test_readme_library_quick_start_runs():

@@ -245,6 +245,11 @@ def _cofacets_by_lookup(dist, cliques, d):
     return cofacets, latest
 
 
+def _ranks(filt, d):
+    """Birth rank of each stored d-simplex, read from its key."""
+    return (filt.keys_by_dim[d] // filt.n_vertices ** (d + 1)).astype(np.int32)
+
+
 def _decode_keys(filt, keys, k):
     """(birth, vertices) of the k-vertex simplices with the given keys."""
     n, out = filt.n_vertices, []
@@ -277,7 +282,7 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
         cliques = oracle._clique_simplices((d <= radius) & ~np.eye(len(d), dtype=bool), max_dim + 1)
         for deg in range(filt.top_dim):
             cofacets, latest = _cofacets_by_lookup(d, cliques, deg)
-            ranks = H._birth_ranks(filt, deg)
+            ranks = _ranks(filt, deg)
             for verts, rank in zip(filt.verts_by_dim[deg], ranks):
                 expected = [(max(d[u, v] for u, v in itertools.combinations(t, 2)), t)
                             for t in cofacets[tuple(verts.tolist())]]
@@ -293,7 +298,7 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
                 cofacets_1, latest_1 = cofacets, latest
         # the dim-1 block must reduce the columns that are neither cleared by
         # a dim-0 death nor apparent pairs
-        negative_edges = H._cleared(filt, 1, H._dim0_block(filt)[1])
+        negative_edges = np.isin(filt.keys_by_dim[1], H._dim0_block(filt)[1])
         non_apparent += sum(
             1
             for c, edge in enumerate(map(tuple, filt.verts_by_dim[1].tolist()))
@@ -325,11 +330,10 @@ def test_apparent_pairs_are_born_at_their_pivots_birth(max_dim, seed):
     for pts in (torus, np.round(rng.normal(size=(40, 3)), 1)):
         filt = H.build_rips(H.pairwise_distances(pts), max_dim)
         for d in range(1, max_dim + 1):
-            ranks = H._birth_ranks(filt, d)
-            keys, cols = H._apparent_pairs(filt, d, ranks, np.zeros(len(ranks), dtype=bool))
+            ranks = _ranks(filt, d)
+            keys, cols = H._apparent_pairs(filt, d, ranks, np.ones(len(ranks), dtype=bool))
             assert len(cols) > 100
-            born = filt.births_by_dim[d][cols]
-            assert np.array_equal(born, filt.edge_lengths[keys // filt.n_vertices ** (d + 2)])
+            assert np.array_equal(ranks[cols], keys // filt.n_vertices ** (d + 2))
 
 
 def _dim0_edge_cases():
@@ -385,6 +389,27 @@ def test_filtration_order_equals_lexsort_on_tied_input():
         order = np.lexsort(tuple(v[:, c] for c in range(v.shape[1] - 1, -1, -1)) + (b,))
         assert np.array_equal(v[order], verts)
         assert np.array_equal(b[order], births)
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
+def test_filtration_keys_name_the_stored_rows_in_order(max_dim):
+    # rounded coordinates, so that distances tie
+    pts = np.round(np.random.default_rng([21, max_dim]).normal(size=(30, 2)), 1)
+    d = H.pairwise_distances(pts)
+    filt = H.build_rips(d, max_dim)
+    assert len(filt.edge_lengths) < filt.counts()[1]
+    n = filt.n_vertices
+    dims = zip(filt.keys_by_dim, filt.verts_by_dim, filt.births_by_dim)
+    for dim, (keys, verts, births) in enumerate(dims):
+        assert keys.dtype == np.int64 and np.all(keys[1:] > keys[:-1])
+        # the birth rank is the rank of the longest edge, 0 for a vertex
+        ranks, diameters = np.zeros(len(verts), dtype=np.int64), np.zeros(len(verts))
+        for u, v in itertools.combinations(verts.T, 2):
+            np.maximum(ranks, filt.edge_rank[u, v], out=ranks)
+            np.maximum(diameters, d[u, v], out=diameters)
+        assert np.array_equal(keys, H._keys(ranks, list(verts.T), n))
+        assert np.array_equal(births, filt.edge_lengths[ranks] if dim else np.zeros(n))
+        assert np.array_equal(births, diameters)
 
 
 @pytest.mark.parametrize("max_dim", [0, 1, 2])
@@ -465,12 +490,14 @@ def _watched_persistence(monkeypatch, filt):
     longest, reads, built = [0], [0], [0]
     cofacets, reduce_column = H._cofacets, H._reduce_column
 
-    class Created:
-        def __init__(self, pivots):
-            self.pivots = pivots
+    class Watched:
+        """The store of reduced columns, counting the reads that find one."""
+
+        def __init__(self, reduced):
+            self.reduced = reduced
 
         def get(self, key):
-            column = self.pivots.get(key)
+            column = self.reduced.get(key)
             reads[0] += column is not None
             return column
 
@@ -478,12 +505,11 @@ def _watched_persistence(monkeypatch, filt):
         built[0] += 1
         return cofacets(*args)
 
-    def watched_reduce_column(filt, verts, ranks, c, owners, reduced):
-        keys, cols, created = owners
+    def watched_reduce_column(filt, verts, ranks, c, keys, cols, reduced):
         built[0] = 0
-        low = reduce_column(filt, verts, ranks, c, (keys, cols, Created(created)), reduced)
+        column = reduce_column(filt, verts, ranks, c, keys, cols, Watched(reduced))
         longest[0] = max(longest[0], built[0] - 1)  # one build is the column's own
-        return low
+        return column
 
     with monkeypatch.context() as patch:
         patch.setattr(H, "_cofacets", counting_cofacets)
