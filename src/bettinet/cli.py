@@ -88,6 +88,15 @@ def _load_dataset(path_text: str, label_col: int, split: str = "train") -> data.
     return data.load_csv_dataset(path, label_col=label_col)
 
 
+def _check_fits(dataset: data.Dataset, path, widths, net_name: str):
+    """The data set read from ``path`` must fit a net of ``widths``, inputs
+    first and classes last; a ValueError names the data and the net."""
+    if dataset.dim != widths[0]:
+        raise ValueError(f"{net_name} takes inputs of width {widths[0]}, but {path} has {dataset.dim} features")
+    if dataset.labels.max() >= widths[-1]:
+        raise ValueError(f"{net_name} has {widths[-1]} classes, but {path} has label {dataset.labels.max()}")
+
+
 def _warn_training_accuracy(reason: str):
     print(f"warning: {reason}; accuracy is measured on the training split", file=sys.stderr)
 
@@ -190,9 +199,7 @@ def cmd_analyze(args, out: Path) -> int:
 
     dataset = _load_dataset(args.data, args.label_col)
     net = mlp.load_checkpoint(args.checkpoint)
-    if net.widths[0] != dataset.dim:
-        raise ValueError(f"{args.checkpoint} takes inputs of width {net.widths[0]}, "
-                         f"but {args.data} has {dataset.dim} features")
+    _check_fits(dataset, args.data, net.widths, args.checkpoint)
     sample = dict(per_class_cap=args.cap, seed=args.seed)
     # the layer first, so that a layer the net lacks fails before any homology
     lay = advisor.layer_profile(net, dataset, args.layer, **sample)
@@ -214,6 +221,8 @@ def cmd_sweep(args, out: Path) -> int:
 
     train_ds = _load_dataset(args.data, args.label_col)
     test_ds = _load_test_dataset(args, train_ds)
+    _check_fits(test_ds, args.test_data or args.data, (train_ds.dim, train_ds.n_classes),
+                f"a net trained on {args.data}")
     result = advisor.width_sweep(
         widths=args.widths,
         seeds=args.seeds,

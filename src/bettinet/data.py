@@ -16,6 +16,7 @@ FormatError too.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Optional
@@ -257,10 +258,10 @@ def load_csv_points(path, label_col: int | None = None, class_limit: int | None 
     """Comma-separated float rows; returns (points, labels-or-None).
 
     A file that is not UTF-8 text raises FormatError naming the file, and
-    a malformed row one naming its 1-based line number;
-    ``label_col`` selects a column (negative indices allowed) holding class
-    ids, removed from the coordinates.  A label outside 0..class_limit-1,
-    or without ``class_limit`` outside int64, is malformed too.
+    a malformed row one naming its 1-based line number; ``label_col``
+    selects a column (negative indices allowed) holding class ids, removed
+    from the coordinates.  A non-finite coordinate, a label outside
+    0..class_limit-1, or without ``class_limit`` outside int64, is malformed too.
     """
     points = []
     labels = []
@@ -294,6 +295,8 @@ def load_csv_points(path, label_col: int | None = None, class_limit: int | None 
                 raise FormatError(f"{path}: line {lineno}: label {label:.0f} is outside {low}..{high - 1}")
             labels.append(int(label))
             del row[label_col]
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"{path}: line {lineno}: non-finite value")
         points.append(row)
     if not points:
         raise FormatError(f"{path}: no data rows")

@@ -19,15 +19,15 @@ is a minimum spanning tree, found by the same Prim routine that gives
 clearing, and there is no union-find.  Cofacets are implicit, as in Ripser:
 those of a simplex c are c plus one vertex w, born at the largest of c's
 birth and the edges from w to c, so the top dimension is counted but never
-stored, and a row is named by one int64 key (birth rank, then the
-vertices).  Apparent pairs come from one vectorized pass; only the other
-columns enumerate and reduce their cofacet lists.  A reduction keeps sorted
-only the keys born up to a horizon a little past its pivot; it parks the
-later ones unsorted and sorts them when the pivot reaches them or when the
-column is stored, so a long reduction stops re-sorting keys that lie past
-its final pivot.  ``build_rips`` counts simplices before allocating any and
-raises ``FiltrationSizeError`` above ``FILTRATION_SIZE_GUARD``.  One
-counter answers every Betti query.
+stored, and every simplex is kept and passed as one int64 key alone (birth
+rank, then the vertices).  Apparent pairs come from one vectorized pass;
+only the other columns enumerate and reduce their cofacet lists.  A
+reduction keeps sorted only the keys born up to a horizon a little past
+its pivot; it parks the later ones unsorted and sorts them when the pivot
+reaches them or when the column is stored, so a long reduction stops
+re-sorting keys that lie past its final pivot.  ``build_rips`` counts
+simplices before allocating any and raises ``FiltrationSizeError`` above
+``FILTRATION_SIZE_GUARD``.  One counter answers every Betti query.
 Everything here uses numpy only.
 
 All containers here are immutable after construction and safe to share
@@ -182,8 +182,6 @@ def enclosing_radius(dist) -> float:
 
 
 def _enclosing_radius(arr: np.ndarray) -> float:
-    if arr.shape[0] == 1:
-        return 0.0
     return float(np.min(np.max(arr, axis=1)))
 
 
@@ -197,10 +195,9 @@ class Filtration:
     """Rips filtration in columnar form.
 
     ``keys_by_dim[d]`` holds the sorted keys (see ``_keys``) of the
-    d-simplices, so they run in (birth, lexicographic) order, and
-    ``verts_by_dim[d]`` their vertices, an (m_d, d+1) int array, row by row;
-    a key's birth rank is key // n**(d+1).  Both hold dimensions 0 to
-    ``max_dim``.  The top dimension, ``max_dim+1``, is only counted
+    d-simplices, d = 0 to ``max_dim``, and nothing else is stored per
+    simplex: ``verts_by_dim`` and ``births_by_dim`` decode the keys when
+    read.  The top dimension, ``max_dim+1``, is only counted
     (``top_count``): its simplices are the cliques one vertex larger, read
     from ``edge_rank`` when they are needed.  A simplex's birth rank is the
     rank of its longest edge among ``edge_lengths`` (0 for a vertex);
@@ -210,13 +207,18 @@ class Filtration:
     """
 
     n_vertices: int
-    verts_by_dim: tuple[np.ndarray, ...]
     keys_by_dim: tuple[np.ndarray, ...]
     max_dim: int
     max_radius: float
     edge_rank: np.ndarray
     edge_lengths: np.ndarray
     top_count: int
+
+    @property
+    def verts_by_dim(self) -> tuple[np.ndarray, ...]:
+        """Each stored simplex's vertices, row by row: an (m_d, d+1) int32 array."""
+        return tuple(np.column_stack(_decode(keys, self.n_vertices, d + 1)[1]).astype(np.int32)
+                     for d, keys in enumerate(self.keys_by_dim))
 
     @property
     def births_by_dim(self) -> tuple[np.ndarray, ...]:
@@ -266,8 +268,8 @@ def _check_filtration_size(adj: np.ndarray, max_dim: int) -> list[int]:
 
 
 def _extend_cliques(cols: list, ranks: np.ndarray, adj: np.ndarray, edge_rank: np.ndarray):
-    """Every (k+1)-clique from the k-cliques given as vertex columns, with the
-    largest of the clique's and its new edges' birth ranks."""
+    """Every (k+1)-clique from the k-cliques given as vertex columns, in any
+    order, with the largest of the clique's and its new edges' birth ranks."""
     n = adj.shape[0]
     # ordered by last vertex, the cliques that v may extend form a prefix
     order = np.argsort(cols[-1], kind="stable")
@@ -297,16 +299,14 @@ def _keys(ranks: np.ndarray, cols: list, n: int) -> np.ndarray:
     return key
 
 
-def _sorted_by_birth_then_lex(cols: list, ranks: np.ndarray, n: int):
-    """The simplices sorted by key; returns their sorted keys, vertex
-    columns and birth ranks."""
-    keys = _keys(ranks, cols, n)
-    keys.sort()
-    digits, rest = [], keys
-    for _ in cols:
-        rest, v = np.divmod(rest, n)
-        digits.append(v.astype(np.int32))
-    return keys, digits[::-1], rest
+def _decode(keys, n: int, k: int):
+    """The inverse of ``_keys`` for simplices of k vertices: (birth ranks,
+    list of the k vertex columns), of one key (ints) or of a key array."""
+    verts = []
+    for _ in range(k):
+        keys, v = divmod(keys, n)
+        verts.append(v)
+    return keys, verts[::-1]
 
 
 def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtration:
@@ -314,9 +314,9 @@ def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtra
     diameter is <= max_radius; ``None`` caps it at the enclosing radius.
 
     The extra dimension is included so that deaths of dim-``max_dim``
-    classes are computed; it is counted but not stored (see ``Filtration``).
-    ``max_dim`` must be 0, 1 or 2.  Raises FiltrationSizeError, before
-    allocating, above FILTRATION_SIZE_GUARD.
+    classes are computed; it is counted, and the others are stored as sorted
+    keys (see ``Filtration``).  ``max_dim`` must be 0, 1 or 2.  Raises
+    FiltrationSizeError, before allocating, above FILTRATION_SIZE_GUARD.
     """
     arr = as_distance_matrix(dist)
     if max_dim not in (0, 1, 2):
@@ -340,21 +340,19 @@ def build_rips(dist, max_dim: int, max_radius: Optional[float] = None) -> Filtra
     edge_rank = np.full((n, n), len(values), dtype=np.int32)
     edge_rank[iu, ju] = edge_rank[ju, iu] = ranks
 
-    verts_by_dim = [np.arange(n, dtype=np.int32).reshape(n, 1)]
     keys_by_dim = [np.arange(n, dtype=np.int64)]  # a vertex's key is the vertex
     cols = [iu.astype(np.int32), ju.astype(np.int32)]
     for d in range(1, max_dim + 1):
         if d >= 2:
             cols, ranks = _extend_cliques(cols, ranks, adj, edge_rank)
-        keys, cols, ranks = _sorted_by_birth_then_lex(cols, ranks, n)
-        verts_by_dim.append(np.column_stack(cols))
+        keys = _keys(ranks, cols, n)
+        keys.sort()
         keys_by_dim.append(keys)
 
-    for a in verts_by_dim + keys_by_dim + [edge_rank, values]:
+    for a in keys_by_dim + [edge_rank, values]:
         a.flags.writeable = False
     return Filtration(
         n_vertices=n,
-        verts_by_dim=tuple(verts_by_dim),
         keys_by_dim=tuple(keys_by_dim),
         max_dim=max_dim,
         max_radius=float(max_radius),
@@ -413,36 +411,38 @@ _EMPTY = np.zeros(0, dtype=np.int64)
 _HORIZON_STEP = 256
 
 
-def _cofacet_ranks(filt: Filtration, verts: np.ndarray, ranks) -> np.ndarray:
-    """Birth ranks of the cofacets c + w of the simplices c, rows of
-    ``verts`` (or one vertex row) with birth ranks ``ranks``, over the
-    vertices w (last axis); ``len(filt.edge_lengths)`` where c + w is not in
-    the filtration, w in c included."""
-    first, *rest = verts.T
-    m = np.maximum(filt.edge_rank[first], np.asarray(ranks)[..., None])
-    for v in rest:
-        np.maximum(m, filt.edge_rank[v], out=m)
+def _cofacet_ranks(edge_rank: np.ndarray, rank, verts: list) -> np.ndarray:
+    """Birth ranks of the cofacets c + w over the vertices w (last axis), for
+    c given by birth rank(s) and vertices (or the vertex columns of a block);
+    ``len(edge_lengths)`` where c + w is no simplex, w in c included."""
+    m = np.maximum(edge_rank[verts[0]], rank)
+    for v in verts[1:]:
+        np.maximum(m, edge_rank[v], out=m)
     return m
 
 
-def _cofacets(filt: Filtration, verts: np.ndarray, rank: int) -> np.ndarray:
-    """Keys of the cofacets of the simplex with vertices ``verts`` and birth
-    rank ``rank``, in filtration order."""
-    edge_rank, n = filt.edge_rank, filt.n_vertices
-    v = verts.tolist()
-    m = np.maximum(edge_rank[v[0]], rank)
-    for x in v[1:]:
-        np.maximum(m, edge_rank[x], out=m)
-    w = (m < len(filt.edge_lengths)).nonzero()[0]
+def _cofacet_keys(ranks: np.ndarray, verts: list, w, n: int) -> np.ndarray:
+    """Keys of the cofacets c + w born at ``ranks``, c given by its sorted
+    vertices (or vertex columns) ``verts``, w not in c."""
     # the sorted vertex tuple of c + w, digit by digit: each digit is the
     # smaller of the next vertex of c and the larger of w and those before
-    key, carry = m.take(w).astype(np.int64), w
-    for x in v:
+    key, carry = ranks.astype(np.int64), w
+    for x in verts:
         key *= n
         key += np.minimum(carry, x)
         carry = np.maximum(carry, x)
     key *= n
     key += carry
+    return key
+
+
+def _cofacets(filt: Filtration, key: int, d: int) -> np.ndarray:
+    """Keys of the cofacets of the d-simplex ``key``, in filtration order."""
+    n = filt.n_vertices
+    rank, verts = _decode(key, n, d + 1)
+    m = _cofacet_ranks(filt.edge_rank, rank, verts)
+    w = (m < len(filt.edge_lengths)).nonzero()[0]
+    key = _cofacet_keys(m.take(w), verts, w, n)
     key.sort()
     return key
 
@@ -462,33 +462,29 @@ def _latest_facet(edge_rank: np.ndarray, cols: list, n: int) -> np.ndarray:
     return np.argmax(scores, axis=0)
 
 
-def _apparent_pairs(filt: Filtration, d: int, ranks: np.ndarray, todo: np.ndarray):
+def _apparent_pairs(filt: Filtration, d: int, todo: np.ndarray):
     """The apparent pairs (Bauer 2021) of the degree-d columns in the mask
     ``todo``, as (pivot keys, columns), both sorted by key.
 
     Column c pairs apparently with its earliest cofacet t when c is t's
     latest facet.  No column reduced before c can hold t, so c pairs with t
     unreduced, and c's own column is t's owner for the rest.  One vectorized
-    pass finds them, ``_BLOCK`` cofacet ranks at a time; its blocks are
-    freed when it returns, before the reduction starts."""
-    verts, n = filt.verts_by_dim[d], filt.n_vertices
-    # columns and pivot keys per block; the empty first entry gives
-    # concatenate an input when no column is open
+    pass finds them, ``_BLOCK // n`` decoded column keys at a time; its
+    blocks are freed when it returns, before the reduction starts."""
+    d_keys, n, top = filt.keys_by_dim[d], filt.n_vertices, len(filt.edge_lengths)
+    # columns and pivot keys per block, after an empty entry for concatenate
     found = [(_EMPTY, _EMPTY)]
     open_cols = np.flatnonzero(todo)
     step = max(1, _BLOCK // n)
     for start in range(0, len(open_cols), step):
         cols = open_cols[start : start + step]
-        m = _cofacet_ranks(filt, verts[cols], ranks[cols])
+        ranks, verts = _decode(d_keys[cols], n, d + 1)
+        m = _cofacet_ranks(filt.edge_rank, ranks.astype(np.int32)[:, None], verts)
         w = np.argmin(m, axis=1)
         first = m[np.arange(len(cols)), w]
         del m  # freed before the next block is made
-        keep = first < len(filt.edge_lengths)
-        cols, w, first = cols[keep], w[keep], first[keep]
-        hit = _latest_facet(filt.edge_rank, list(verts[cols].T) + [w], n) == d + 1
-        cols, w, first = cols[hit], w[hit], first[hit]
-        cofacet = np.sort(np.column_stack((verts[cols], w)), axis=1)
-        found.append((cols, _keys(first, list(cofacet.T), n)))
+        hit = (first < top) & (_latest_facet(filt.edge_rank, verts + [w], n) == d + 1)
+        found.append((cols[hit], _cofacet_keys(first[hit], [v[hit] for v in verts], w[hit], n)))
     cols, keys = (np.concatenate(f) for f in zip(*found))
     order = np.argsort(keys)
     return keys[order], cols[order]
@@ -501,12 +497,10 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
 
     Serves degrees d >= 1 (dim 0 is ``_dim0_block``).  Columns are the
     d-simplices whose keys are not in ``cleared``, the rows killed in degree
-    d-1, in reverse filtration order; rows are (d+1)-simplices, named by
-    their keys and never stored: the cofacets of c are c + w, born at the
-    larger of c's birth rank and the edge ranks from w to c's vertices, and
-    ordered by (birth rank, w).  The pivot of a reduced column is the
-    earliest cofacet, pairing (d-simplex birth, (d+1)-simplex death) exactly
-    as the left-to-right boundary reduction does.
+    d-1, in reverse filtration order; rows are their cofacets (``_cofacets``),
+    never stored.  The pivot of a reduced column is the earliest cofacet,
+    pairing (d-simplex birth, (d+1)-simplex death) exactly as the
+    left-to-right boundary reduction does.
 
     An apparent pair gives no bar, as its column c is born with its pivot t:
     t has a vertex x off its longest edge, so the facet t - x is born with
@@ -517,41 +511,38 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     on a 300-point noisy torus at dim 1).  One dict, ``reduced``, maps each
     pivot the reduction creates to its reduced column, whose sorted keys
     begin with that pivot; an apparent column added to another is recomputed
-    from its vertices.  Each reduced column is split at a birth-rank
-    horizon (see ``_reduce_column``), so its keys past the horizon are
-    sorted once, not at every addition.  On that torus, where one column
-    adds 1 217 others and 2 074 cofacet lists are built in all, the
-    reduction sorts 2.5 million keys instead of 14.1 million, and the
-    kernel's tracemalloc peak above its input is 6.4 MB (7.5 MB without the
-    horizon; 16.8 MB with a dict entry per pair and a cache of owner
-    columns).
+    from its key.  Each reduced column is split at a birth-rank horizon
+    (see ``_reduce_column``), so its keys past the horizon are sorted once,
+    not at every addition.  On that torus, where one column adds 1 217
+    others and 2 074 cofacet lists are built in all, the reduction sorts 2.5
+    million keys instead of 14.1 million, and the kernel's tracemalloc peak
+    above its input is 6.3 MiB (7.6 MiB without the horizon).
     """
-    verts, values, d_keys = filt.verts_by_dim[d], filt.edge_lengths, filt.keys_by_dim[d]
-    ranks = (d_keys // filt.n_vertices ** (d + 1)).astype(np.int32)
+    values, d_keys, n = filt.edge_lengths, filt.keys_by_dim[d], filt.n_vertices
     todo = np.ones(len(d_keys), dtype=bool)
     todo[d_keys.searchsorted(cleared)] = False
-    keys, cols = _apparent_pairs(filt, d, ranks, todo)
-    base = filt.n_vertices ** (d + 2)  # a row key's birth rank is key // base
-    bars: list[Interval] = []  # the apparent pairs give none
+    keys, cols = _apparent_pairs(filt, d, todo)
     todo[cols] = False
+    base = n ** (d + 1)  # a column key's birth rank is key // base, a row key's key // (base * n)
+    bars: list[Interval] = []  # the apparent pairs give none
     reduced: dict[int, np.ndarray] = {}  # pivot key -> reduced column
-    for c in np.flatnonzero(todo)[::-1].tolist():
-        column = _reduce_column(filt, verts, ranks, c, keys, cols, reduced)
+    for c in d_keys[todo][::-1].tolist():
+        column = _reduce_column(filt, d, c, keys, cols, reduced)
         if column is None:
-            bars.append(Interval(float(values[ranks[c]]), None))
+            bars.append(Interval(float(values[c // base]), None))
             continue
         reduced[int(column[0])] = column
-        if ranks[c] != column[0] // base:
-            bars.append(Interval(float(values[ranks[c]]), float(values[column[0] // base])))
+        if c // base != column[0] // (base * n):
+            bars.append(Interval(float(values[c // base]), float(values[column[0] // (base * n)])))
     return bars, np.concatenate((keys, np.fromiter(reduced, dtype=np.int64, count=len(reduced))))
 
 
-def _reduce_column(filt, verts, ranks, c, keys, cols, reduced):
-    """Add to column c the columns that own its pivot until none does;
-    returns the reduced column, its keys sorted, the first its pivot, or
-    None for a zero column.  The owners are the apparent columns, whose
-    sorted pivot keys ``keys`` and columns ``cols`` come from
-    ``_apparent_pairs``, and the columns in ``reduced``, keyed by pivot.
+def _reduce_column(filt: Filtration, d: int, key: int, keys, cols, reduced):
+    """Add to the column of the d-simplex ``key`` the columns that own its
+    pivot until none does; returns the reduced column, its keys sorted, the
+    first its pivot, or None for a zero column.  The owners are the apparent
+    columns (pivot ``keys`` and positions ``cols``, from ``_apparent_pairs``)
+    and the columns in ``reduced``, keyed by pivot.
 
     The working column is split at a horizon, a birth rank.  The keys born
     at or below it are the sum of two sorted key arrays, which find the
@@ -567,13 +558,9 @@ def _reduce_column(filt, verts, ranks, c, keys, cols, reduced):
     starting at ``_HORIZON_STEP``, and the parked keys below it, reduced to
     those parked an odd number of times, become ``big``.
     """
-    base = filt.n_vertices ** (verts.shape[1] + 1)  # a key's birth rank is key // base
-    big, small, pile, step = _cofacets(filt, verts[c], ranks[c]), _EMPTY, [], _HORIZON_STEP
-    if not big.size:
-        return None
-    limit = (int(big[0]) // base + step + 1) * base  # keys below it are born up to the horizon
-    cut = int(big.searchsorted(limit))
-    big, pile = big[:cut], [big[cut:]]
+    base = filt.n_vertices ** (d + 2)  # a row key's birth rank is key // base
+    # the column starts parked: the first pass sets the first horizon
+    big, small, pile, step = _EMPTY, _EMPTY, [_cofacets(filt, key, d)], _HORIZON_STEP
     while True:
         if big.size and small.size and big[0] == small[0]:
             # keys both hold cancel; the pivot is the first key where they differ
@@ -586,8 +573,8 @@ def _reduce_column(filt, verts, ranks, c, keys, cols, reduced):
             if not far.size:
                 return None
             pile.clear()  # the parked arrays are freed before far is split
+            limit = (int(far.min()) // base + step + 1) * base  # keys below it are born up to the horizon
             step *= 2
-            limit = (int(far.min()) // base + step + 1) * base
             near = far < limit
             big, pile = _odd_keys(far[near]), [far[~near]]
             del far, near  # nor is far kept while the reduction goes on
@@ -601,8 +588,8 @@ def _reduce_column(filt, verts, ranks, c, keys, cols, reduced):
                 far = np.concatenate([big, small, *pile])
                 pile.clear()  # the parked arrays are freed before far is sorted
                 return _odd_keys(far)
-            o = int(cols[i])  # an apparent column is its own reduced form
-            add = _cofacets(filt, verts[o], ranks[o])
+            # an apparent column is its own reduced form
+            add = _cofacets(filt, int(filt.keys_by_dim[d][cols[i]]), d)
         # the pivot cancels: it is the first key of both columns
         if in_big:
             big = big[1:]

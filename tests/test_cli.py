@@ -721,6 +721,14 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "{CHECKPOINT} takes inputs of width 4, but {IDX} has 64 features"),
         ("homology --points NOT_UTF8", 1, "{NOT_UTF8}: not UTF-8 text"),
         ("sweep --data NOT_UTF8 --widths 2 --seeds 1 --epochs 1", 1, "{NOT_UTF8}: not UTF-8 text"),
+        ("homology --points OVERFLOW", 1, "{OVERFLOW}: line 2: non-finite value"),
+        ("train --data NAN_FEATURE --widths 2 --epochs 1", 1, "{NAN_FEATURE}: line 2: non-finite value"),
+        ("sweep --data FOUR_COLUMNS --test-data SINGLETONS --widths 2 --seeds 1 --epochs 1", 1,
+         "a net trained on {FOUR_COLUMNS} takes inputs of width 3, but {SINGLETONS} has 4 features"),
+        ("sweep --data SINGLETONS --test-data FIVE_CLASSES --widths 2 --seeds 1 --epochs 1", 1,
+         "a net trained on {SINGLETONS} has 3 classes, but {FIVE_CLASSES} has label 4"),
+        ("analyze --data FIVE_CLASSES --checkpoint CHECKPOINT --layer 1", 1,
+         "{CHECKPOINT} has 3 classes, but {FIVE_CLASSES} has label 4"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
          "sweep-widths-0", "bounds-widths-0", "train-seed--1", "analyze-seed--1",
@@ -736,7 +744,8 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "checkpoint-string-weight", "checkpoint-string-coeffs", "checkpoint-nan-gamma",
          "checkpoint-huge-bias", "checkpoint-huge-int", "cover-checkpoint-dir",
          "analyze-checkpoint-dir", "homology-points-dir", "analyze-width-mismatch",
-         "homology-not-utf8", "sweep-not-utf8"],
+         "homology-not-utf8", "sweep-not-utf8", "homology-overflow", "train-nan-feature",
+         "sweep-test-width", "sweep-test-classes", "analyze-classes"],
 )
 def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, idx_checkpoint, tmp_path, capsys,
                                                        argv, code, message):
@@ -748,7 +757,8 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, idx_checkpoint, 
              "HUGE_IDX": tmp_path / "huge", "EMPTY_IDX": tmp_path / "empty",
              "EMPTY_WIDE_IDX": tmp_path / "empty-wide", "NO_PIXELS_IDX": tmp_path / "no-pixels",
              "HUGE_INT": tmp_path / "huge_int.json", "DIR": tmp_path / "a-directory",
-             "NOT_UTF8": tmp_path / "utf16.csv"}
+             "NOT_UTF8": tmp_path / "utf16.csv", "OVERFLOW": tmp_path / "overflow.csv",
+             "NAN_FEATURE": tmp_path / "nan.csv", "FIVE_CLASSES": tmp_path / "five.csv"}
     mlp.save_checkpoint(mlp.build_network([4, 3, 3, 3], mlp.relu_activation(), seed=5), files["CHECKPOINT"])
     for name, corrupt in _BROKEN_CHECKPOINTS.items():  # each an edited copy of CHECKPOINT
         doc = json.loads(files["CHECKPOINT"].read_text())
@@ -761,6 +771,9 @@ def test_bad_input_is_an_error_message_not_a_traceback(idx_dir, idx_checkpoint, 
     files["HUGE_INT"].write_text("[" + "9" * 5000 + "]\n")  # past Python's int-parsing limit
     files["HUGE_LABEL"].write_text("0,0,0\n1,1,1e18\n2,0,1\n")
     files["SINGLETONS"].write_text("0,0,0,0,0\n1,1,1,1,1\n2,0,0,0,2\n")  # CHECKPOINT's width
+    files["OVERFLOW"].write_text("0,0,0\n1,1e400,1\n")
+    files["NAN_FEATURE"].write_text("0,0,0\nnan,1,1\n")
+    files["FIVE_CLASSES"].write_text("0,0,0,0,0\n1,1,1,1,1\n2,0,0,0,2\n0,1,0,0,3\n0,0,1,0,4\n")
     files["DIR"].mkdir()
     files["NOT_UTF8"].write_bytes("0,0,0\n1,1,1\n".encode("utf-16"))  # begins with \xff\xfe
     files["MISMATCHED_IDX"].mkdir()

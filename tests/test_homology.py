@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -282,11 +283,10 @@ def test_persistence_matches_reference_on_larger_clouds(kind, max_dim):
         cliques = oracle._clique_simplices((d <= radius) & ~np.eye(len(d), dtype=bool), max_dim + 1)
         for deg in range(filt.top_dim):
             cofacets, latest = _cofacets_by_lookup(d, cliques, deg)
-            ranks = _ranks(filt, deg)
-            for verts, rank in zip(filt.verts_by_dim[deg], ranks):
+            for verts, key in zip(filt.verts_by_dim[deg], filt.keys_by_dim[deg]):
                 expected = [(max(d[u, v] for u, v in itertools.combinations(t, 2)), t)
                             for t in cofacets[tuple(verts.tolist())]]
-                assert _decode_keys(filt, H._cofacets(filt, verts, rank), deg + 2) == expected
+                assert _decode_keys(filt, H._cofacets(filt, int(key), deg), deg + 2) == expected
             # the vertex columns in a shuffled order, as the routine takes any
             tops = list(latest)
             order = rng.permutation(deg + 2)
@@ -331,7 +331,7 @@ def test_apparent_pairs_are_born_at_their_pivots_birth(max_dim, seed):
         filt = H.build_rips(H.pairwise_distances(pts), max_dim)
         for d in range(1, max_dim + 1):
             ranks = _ranks(filt, d)
-            keys, cols = H._apparent_pairs(filt, d, ranks, np.ones(len(ranks), dtype=bool))
+            keys, cols = H._apparent_pairs(filt, d, np.ones(len(ranks), dtype=bool))
             assert len(cols) > 100
             assert np.array_equal(ranks[cols], keys // filt.n_vertices ** (d + 2))
 
@@ -413,6 +413,20 @@ def test_filtration_keys_name_the_stored_rows_in_order(max_dim):
 
 
 @pytest.mark.parametrize("max_dim", [0, 1, 2])
+def test_filtration_stores_each_simplex_only_as_its_key(max_dim):
+    # vertex rows and births are decoded from the keys when read; the other
+    # stored arrays are one per vertex pair and one per edge length
+    filt = H.build_rips(H.pairwise_distances(_noisy_torus(10, 6, 0)), max_dim)
+    n = filt.n_vertices
+    stored = {f.name: getattr(filt, f.name) for f in dataclasses.fields(filt)}
+    arrays = {name for name, value in stored.items() if isinstance(value, (np.ndarray, tuple))}
+    assert arrays == {"keys_by_dim", "edge_rank", "edge_lengths"}
+    assert filt.edge_rank.shape == (n, n)
+    assert np.array_equal(filt.edge_lengths, np.unique(filt.edge_lengths))
+    assert [len(k) for k in filt.keys_by_dim] == list(filt.counts()[:-1])
+
+
+@pytest.mark.parametrize("max_dim", [0, 1, 2])
 def test_size_guard_counts_before_building(monkeypatch, max_dim):
     rng = np.random.default_rng(14)
     d = H.pairwise_distances(rng.normal(size=(12, 3)))
@@ -464,11 +478,11 @@ def test_persistence_peak_memory_on_a_noisy_torus():
     # Apparent pairs live in two sorted arrays, an apparent owner's
     # coboundary is recomputed when it is added, and a reduction keeps
     # sorted only the keys below its horizon, so on this 300-point torus the
-    # dim-1 kernel peaks at 6.4 MB above its input (7.6 MB with every key
-    # kept sorted).  With every key sorted, one dict entry per apparent pair
-    # took it to 11.1 MB, a cache of owner coboundaries to 10.9 MB, and both
-    # to 17.7 MB.  A fresh interpreter keeps other tests' allocations out of
-    # the count.
+    # dim-1 kernel peaks at 6.26 MiB above its input (7.60 MiB with every
+    # key kept sorted).  With every key sorted, one dict entry per apparent
+    # pair took it to 11.1 MB, a cache of owner coboundaries to 10.9 MB, and
+    # both to 17.7 MB.  A fresh interpreter keeps other tests' allocations
+    # out of the count.
     src = str(Path(H.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", TORUS_PEAK_CODE], capture_output=True,
@@ -505,9 +519,9 @@ def _watched_persistence(monkeypatch, filt):
         built[0] += 1
         return cofacets(*args)
 
-    def watched_reduce_column(filt, verts, ranks, c, keys, cols, reduced):
+    def watched_reduce_column(filt, d, key, keys, cols, reduced):
         built[0] = 0
-        column = reduce_column(filt, verts, ranks, c, keys, cols, Watched(reduced))
+        column = reduce_column(filt, d, key, keys, cols, Watched(reduced))
         longest[0] = max(longest[0], built[0] - 1)  # one build is the column's own
         return column
 
