@@ -17,15 +17,7 @@ class gets only its b0 curve, exact from a minimum spanning tree;
 ``width_sweep`` reads nothing else.  At 1 (the default, and what
 ``analyze`` computes) each class gets its dim-1 Rips barcode and b0/b1
 curves.  Either way the classes are profiled one after another in the
-calling process.  A pool of two worker processes was slower at the
-default cap, and 8% faster at cap 500, close to the largest cap that the
-Rips size guard admits (it refuses 520).  Whole ``analyze --layer 3`` runs
-on 2 cores, 10 classes of 784-D images and a 784-16-16-16-10 net, three
-runs each:
-
-    cap   one process           pool of 2
-    200   1.26, 1.30, 1.31 s    1.53, 1.70, 1.99 s
-    500   7.43, 7.45, 7.65 s    6.47, 6.86, 7.14 s
+calling process.
 """
 
 from __future__ import annotations

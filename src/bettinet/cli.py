@@ -51,13 +51,13 @@ def _int_list(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p != ""]
 
 
-_parse_int_list = _checked(_int_list, lambda _: True, "comma-separated integers")
+# an empty list is a usage error too
+_parse_int_list = _checked(_int_list, bool, "comma-separated integers")
 
 
 def _int_list_at_least(low: int):
-    return _checked(
-        _int_list, lambda values: all(v >= low for v in values), f"comma-separated integers >= {low}"
-    )
+    return _checked(_int_list, lambda values: values and all(v >= low for v in values),
+                    f"comma-separated integers >= {low}")
 
 
 def _int_at_least(low: int):

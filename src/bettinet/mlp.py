@@ -14,6 +14,8 @@ may split a product differently across threads and round it differently.
 It does not depend on stacking: ``train_sgd_stack`` trains same-shape nets
 in lockstep, paying numpy's per-call cost once per step for all of them,
 and leaves each with the weights ``train_sgd`` (a stack of one) gives it.
+The stack keeps one record per layer: the arrays that ``_layer_arrays``
+names in each net, stacked over the nets under the same names.
 Forward passes and extraction on a frozen network may run concurrently.
 """
 
@@ -51,8 +53,10 @@ __all__ = [
 ]
 
 CHECKPOINT_VERSION = 1
-# the per-unit arrays of a ``BatchNorm``, as checkpoints name them
-BATCH_NORM_VECTORS = ("gamma", "beta", "running_mean", "running_var")
+# the per-unit arrays of a ``BatchNorm``, as checkpoints name them; training
+# moves the running statistics toward each batch's, the others by gradient
+RUNNING_STATS = ("running_mean", "running_var")
+BATCH_NORM_VECTORS = ("gamma", "beta") + RUNNING_STATS
 # Rows that ``evaluate_accuracy`` decodes and forwards at a time.
 EVAL_BLOCK_ROWS = 256
 
@@ -139,21 +143,19 @@ class Network:
     activation: ActivationFn
 
     def __post_init__(self):
-        layers = [(block.dense, block.norm) for block in self.hidden] + [(self.output, None)]
-        for layer, (dense, norm) in enumerate(layers, start=1):
-            where = f"layer {layer}" + (" (output)" if layer == len(layers) else "")
-            weight = dense.weight
+        norms = [block.norm for block in self.hidden] + [None]
+        for layer, (arrays, norm) in enumerate(zip(_layer_arrays(self), norms), start=1):
+            where = f"layer {layer}" + (" (output)" if layer == len(norms) else "")
+            weight = arrays["weight"]
             if weight.ndim != 2 or weight.size == 0:
                 raise ValueError(f"{where}: weight has shape {weight.shape}, not (out, in)")
             if layer > 1 and weight.shape[1] != width:
                 raise ValueError(f"{where}: weight takes {weight.shape[1]} inputs, "
                                  f"the layer below gives {width}")
             width = weight.shape[0]
-            arrays = {"weight": weight, "bias": dense.bias}
-            if norm is not None:
-                arrays.update((f"batch-norm {key}", getattr(norm, key)) for key in BATCH_NORM_VECTORS)
-            for name, array in arrays.items():
-                if name != "weight" and array.shape != (width,):
+            for key, array in arrays.items():
+                name = f"batch-norm {key}" if key in BATCH_NORM_VECTORS else key
+                if key != "weight" and array.shape != (width,):
                     raise ValueError(f"{where}: {name} has shape {array.shape}, expected ({width},)")
                 if not np.isfinite(array).all():
                     raise ValueError(f"{where}: {name} is not finite")
@@ -176,6 +178,20 @@ class Network:
     @property
     def n_classes(self) -> int:
         return self.output.weight.shape[0]
+
+
+def _layer_arrays(net: Network) -> list[dict[str, np.ndarray]]:
+    """Each layer's arrays by name, the hidden blocks' and then the output
+    layer's: ``weight`` and ``bias``, and a normalized block's
+    ``BATCH_NORM_VECTORS``."""
+    layers = [(block.dense, block.norm) for block in net.hidden] + [(net.output, None)]
+    records = []
+    for dense, norm in layers:
+        arrays = {"weight": dense.weight, "bias": dense.bias}
+        if norm is not None:
+            arrays.update((key, getattr(norm, key)) for key in BATCH_NORM_VECTORS)
+        records.append(arrays)
+    return records
 
 
 def build_network(
@@ -261,63 +277,38 @@ def _batch_sum(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.add.reduce(a, 1, keepdims=True, out=out)
 
 
-def _blocks(params, eps):
-    """Split a stack's parameters (``_param_items`` order) into
-    (weight, bias, gamma, beta, eps) per hidden block, gamma and beta None
-    without batch norm, and the output layer's (weight, bias)."""
-    rest = iter(params)
-    blocks = []
-    for block_eps in eps:
-        weight, bias = next(rest), next(rest)
-        gamma, beta = (next(rest), next(rest)) if block_eps is not None else (None, None)
-        blocks.append((weight, bias, gamma, beta, block_eps))
-    return blocks, tuple(rest)
+def _loss_and_grads(layers, norms, activation: ActivationFn, x: np.ndarray, y: np.ndarray, grads):
+    """Mean cross-entropy and softmax output of each net of a stack, in
+    training mode: batch norm normalizes with each batch's statistics.
 
-
-def _forward_train(blocks, output, activation: ActivationFn, x: np.ndarray, batch_stats):
-    """Training-mode pass of a stack of nets on ``x`` of shape (S, B, n_0),
-    using batch statistics, which it writes into ``batch_stats``: mean and
-    variance of each normalized block.  Caches (x_in, z, inv, x_hat) per
-    hidden block for backprop, the last two None without batch norm."""
+    ``layers`` are the nets' ``_layer_arrays`` records stacked by name:
+    (S, out, in) weights and (S, 1, n) vectors.  ``norms[k]`` is hidden
+    block k's ``BatchNorm``, whose eps is read, or None without batch norm.
+    ``x`` is (S, B, n_0) and ``y`` (S, B).  ``grads`` are records stacked
+    like ``layers``: each parameter's gradient goes under its name, and a
+    normalized block's batch mean and variance under ``running_mean`` and
+    ``running_var``, for the caller to fold into the running estimates.
+    Nothing else is modified.
+    """
     n = x.shape[1]
-    stats = iter(batch_stats)
-    caches = []
-    for weight, bias, gamma, beta, eps in blocks:
-        z = x @ weight.transpose(0, 2, 1) + bias
+    caches = []  # (x_in, z, inv, x_hat) per hidden block, the last two None without batch norm
+    for layer, norm, grad in zip(layers, norms, grads):
+        z = x @ layer["weight"].transpose(0, 2, 1) + layer["bias"]
         a = activation(z)
-        if eps is None:
+        if norm is None:
             caches.append((x, z, None, None))
             x = a
             continue
         # the operations numpy's mean and var run, without their wrappers
-        mu = np.divide(_batch_sum(a), n, out=next(stats))
+        mu = np.divide(_batch_sum(a), n, out=grad["running_mean"])
         d = a - mu
-        var = np.divide(_batch_sum(d * d), n, out=next(stats))
-        inv = 1.0 / np.sqrt(var + eps)
+        var = np.divide(_batch_sum(d * d), n, out=grad["running_var"])
+        inv = 1.0 / np.sqrt(var + norm.eps)
         x_hat = d * inv
         caches.append((x, z, inv, x_hat))
-        x = gamma * x_hat + beta
-    weight, bias = output
-    logits = x @ weight.transpose(0, 2, 1) + bias
-    return caches, x, logits
-
-
-def _loss_and_grads(params, eps, activation: ActivationFn, x: np.ndarray, y: np.ndarray,
-                    grads, batch_stats):
-    """Mean cross-entropy and softmax output of each net of a stack
-    (training-mode forward); writes the parameter gradients into ``grads``.
-
-    ``params`` are the stacked parameters in ``_param_items`` order: weights
-    (S, out, in), vectors (S, 1, n); ``grads`` are arrays stacked like them.
-    ``eps[k]`` is hidden block k's batch-norm epsilon, None without batch
-    norm.  ``x`` is (S, B, n_0) and ``y`` (S, B).  The batch mean and
-    variance of each normalized block go into ``batch_stats``, in the order
-    of ``_net_arrays``'s running statistics, so the caller can fold them
-    into the running estimates.  Nothing else is modified.
-    """
-    n = x.shape[1]
-    blocks, output = _blocks(params, eps)
-    caches, last, logits = _forward_train(blocks, output, activation, x, batch_stats)
+        x = layer["gamma"] * x_hat + layer["beta"]
+    output = layers[-1]  # x is now its input
+    logits = x @ output["weight"].transpose(0, 2, 1) + output["bias"]
     probs = _softmax(logits)
     picked = (np.arange(len(x))[:, None], np.arange(n), y)
     losses = -(np.add.reduce(np.log(probs[picked] + 1e-300), 1) / n)
@@ -326,23 +317,22 @@ def _loss_and_grads(params, eps, activation: ActivationFn, x: np.ndarray, y: np.
     dlogits[picked] -= 1.0
     dlogits /= n
 
-    out = reversed(grads)  # written back to front
-    _batch_sum(dlogits, next(out))
-    np.matmul(dlogits.transpose(0, 2, 1), last, out=next(out))
-    g = dlogits @ output[0]
-    for idx in range(len(blocks) - 1, -1, -1):
-        weight, _, gamma, _, block_eps = blocks[idx]
+    _batch_sum(dlogits, grads[-1]["bias"])
+    np.matmul(dlogits.transpose(0, 2, 1), x, out=grads[-1]["weight"])
+    g = dlogits @ output["weight"]
+    for idx in range(len(caches) - 1, -1, -1):
+        layer, grad = layers[idx], grads[idx]
         x_in, z, inv, x_hat = caches[idx]
-        if block_eps is not None:
-            _batch_sum(g, next(out))
-            _batch_sum(g * x_hat, next(out))
-            dxhat = g * gamma
+        if norms[idx] is not None:
+            _batch_sum(g, grad["beta"])
+            _batch_sum(g * x_hat, grad["gamma"])
+            dxhat = g * layer["gamma"]
             g = inv * (dxhat - _batch_sum(dxhat) / n - x_hat * (_batch_sum(dxhat * x_hat) / n))
         dz = g * activation.grad(z)
-        _batch_sum(dz, next(out))
-        np.matmul(dz.transpose(0, 2, 1), x_in, out=next(out))
+        _batch_sum(dz, grad["bias"])
+        np.matmul(dz.transpose(0, 2, 1), x_in, out=grad["weight"])
         if idx:  # nothing reads the gradient of the input itself
-            g = dz @ weight
+            g = dz @ layer["weight"]
     return losses, probs
 
 
@@ -368,27 +358,6 @@ class TrainLog:
     @property
     def final_accuracy(self) -> float:
         return self.epoch_accuracies[-1]
-
-
-def _param_items(net: Network):
-    for idx, block in enumerate(net.hidden):
-        yield f"hidden.{idx}.weight", block.dense.weight
-        yield f"hidden.{idx}.bias", block.dense.bias
-        if block.norm is not None:
-            yield f"hidden.{idx}.gamma", block.norm.gamma
-            yield f"hidden.{idx}.beta", block.norm.beta
-    yield "output.weight", net.output.weight
-    yield "output.bias", net.output.bias
-
-
-def _net_arrays(net: Network) -> list[np.ndarray]:
-    """A net's parameters in ``_param_items`` order, then the running mean
-    and variance of each normalized block."""
-    arrays = [p for _, p in _param_items(net)]
-    for block in net.hidden:
-        if block.norm is not None:
-            arrays += [block.norm.running_mean, block.norm.running_var]
-    return arrays
 
 
 def _layout(net: Network):
@@ -430,20 +399,23 @@ def train_sgd_stack(
     if dataset.dim != first.widths[0]:
         raise ValueError("dataset width does not match the network input")
     norms = [block.norm for block in first.hidden]
-    eps = [None if norm is None else norm.eps for norm in norms]
-    # each array of the nets (``_net_arrays``) stacked: (S, out, in) weights
-    # and (S, 1, n) vectors; ``scratch`` takes a step's gradients and batch
-    # statistics in the same shapes
-    arrays = [
-        np.stack([a.reshape(-1, a.shape[-1]) for a in same])
-        for same in zip(*map(_net_arrays, nets))
+    # each layer's arrays (``_layer_arrays``) stacked over the nets, by name:
+    # (S, out, in) weights and (S, 1, n) vectors; ``grads`` takes a step's
+    # gradients and batch statistics under the same names
+    layers = [
+        {key: np.stack([arrays[key].reshape(-1, arrays[key].shape[-1]) for arrays in same])
+         for key in same[0]}
+        for same in zip(*map(_layer_arrays, nets))
     ]
-    scratch = [np.empty_like(a) for a in arrays]
-    n_params = len(list(_param_items(first)))
-    params, stats = arrays[:n_params], arrays[n_params:]
-    grads, batch_stats = scratch[:n_params], scratch[n_params:]
-    # the momentum of each running statistic: mean and variance of each normalized block
-    momenta = [norm.momentum for norm in norms if norm is not None for _ in range(2)]
+    grads = [{key: np.empty_like(a) for key, a in layer.items()} for layer in layers]
+    # what each step updates, paired once: every parameter with its
+    # gradient, and every running statistic with its batch statistic and
+    # its block's momentum
+    params = [(layer[key], grad[key]) for layer, grad in zip(layers, grads)
+              for key in layer if key not in RUNNING_STATS]
+    stats = [(layer[key], grad[key], norm.momentum)
+             for layer, grad, norm in zip(layers, grads, norms) if norm is not None
+             for key in RUNNING_STATS]
     # every step's rows are decoded into this one buffer
     batch = np.empty(len(nets) * min(batch_size, len(dataset)) * dataset.dim)
     rngs = [np.random.default_rng(config.seed) for config in configs]
@@ -461,10 +433,10 @@ def train_sgd_stack(
                 idx = order[:, start : start + batch_size]
                 y = dataset.labels[idx]
                 x = dataset.rows(idx, out=batch[: idx.size * dataset.dim].reshape(*idx.shape, -1))
-                loss, probs = _loss_and_grads(params, eps, first.activation, x, y, grads, batch_stats)
+                loss, probs = _loss_and_grads(layers, norms, first.activation, x, y, grads)
                 for k in np.flatnonzero(np.isnan(loss)).tolist():
                     if results[k] is None:
-                        _unstack(arrays, k, nets[k])
+                        _unstack(layers, k, nets[k])
                         results[k] = TrainingDivergedError(
                             f"NaN loss at epoch {epoch}, batch starting {start}; "
                             "try a smaller learning rate"
@@ -473,25 +445,27 @@ def train_sgd_stack(
                     return results
                 loss_sums[epoch] += loss * idx.shape[1]
                 hits[epoch] += np.count_nonzero(probs.argmax(axis=2) == y, axis=1)
-                for param, grad in zip(params, grads):
+                for param, grad in params:
                     grad *= lr
                     param -= grad
-                for stat, batch_stat, m in zip(stats, batch_stats, momenta):
+                for stat, batch_stat, m in stats:
                     batch_stat *= m
                     stat *= 1.0 - m
                     stat += batch_stat
     losses, accs = (loss_sums / size).T.tolist(), (hits / size).T.tolist()
     for k, net in enumerate(nets):
         if results[k] is None:
-            _unstack(arrays, k, net)
+            _unstack(layers, k, net)
             results[k] = TrainLog(tuple(losses[k]), tuple(accs[k]))
     return results
 
 
-def _unstack(arrays, k: int, net: Network):
-    """Copy member ``k`` of the stacked arrays back into ``net``'s own."""
-    for own, stacked in zip(_net_arrays(net), arrays):
-        own[...] = stacked[k].reshape(own.shape)
+def _unstack(layers, k: int, net: Network):
+    """Copy member ``k`` of the stacked layer records back into ``net``'s
+    own arrays, by name."""
+    for own, stacked in zip(_layer_arrays(net), layers):
+        for key, array in own.items():
+            array[...] = stacked[key][k].reshape(array.shape)
 
 
 def train_sgd(net: Network, dataset: Dataset, config: TrainConfig) -> TrainLog:

@@ -18,6 +18,21 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def named_params(net: mlp.Network) -> dict:
+    """Every trained parameter of ``net`` under the name its gradient has
+    in ``loss_and_grads``."""
+    params = {}
+    for idx, block in enumerate(net.hidden):
+        params[f"hidden.{idx}.weight"] = block.dense.weight
+        params[f"hidden.{idx}.bias"] = block.dense.bias
+        if block.norm is not None:
+            params[f"hidden.{idx}.gamma"] = block.norm.gamma
+            params[f"hidden.{idx}.beta"] = block.norm.beta
+    params["output.weight"] = net.output.weight
+    params["output.bias"] = net.output.bias
+    return params
+
+
 def forward_train(net: mlp.Network, x: np.ndarray):
     caches = []
     for block in net.hidden:
@@ -89,7 +104,7 @@ def train_sgd(net: mlp.Network, dataset, config: mlp.TrainConfig) -> mlp.TrainLo
                 )
             epoch_loss += loss * len(idx)
             correct += int(np.sum(probs.argmax(axis=1) == y))
-            params = dict(mlp._param_items(net))
+            params = named_params(net)
             for name, grad in grads.items():
                 params[name] -= config.lr * grad
             for layer_idx, mu, var in batch_stats:
@@ -148,14 +163,19 @@ def gradient_check(
         else:
             raise RuntimeError("could not move the batch away from ReLU kinks")
 
-    params = [p.reshape(1, -1, p.shape[-1]) for _, p in mlp._param_items(net)]  # a stack of one
-    eps = [None if block.norm is None else block.norm.eps for block in net.hidden]
-    grads = [np.empty_like(p) for p in params]
-    stats = [np.empty((1, 1, b.norm.gamma.size)) for b in net.hidden if b.norm for _ in "mv"]
-    mlp._loss_and_grads(params, eps, net.activation, x[None], y[None], grads, stats)
+    layers = [  # a stack of one
+        {key: a.reshape(1, -1, a.shape[-1]) for key, a in arrays.items()}
+        for arrays in mlp._layer_arrays(net)
+    ]
+    grads = [{key: np.empty_like(a) for key, a in layer.items()} for layer in layers]
+    norms = [block.norm for block in net.hidden]
+    mlp._loss_and_grads(layers, norms, net.activation, x[None], y[None], grads)
+    prefixes = [f"hidden.{idx}." for idx in range(len(net.hidden))] + ["output."]
+    named_grads = {prefix + key: g for prefix, grad in zip(prefixes, grads) for key, g in grad.items()}
     x_long = x.astype(np.longdouble)
     worst = 0.0
-    for (_, param), grad in zip(mlp._param_items(net), grads):
+    for name, param in named_params(net).items():
+        grad = named_grads[name]
         flat, gflat = param.reshape(-1), grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]

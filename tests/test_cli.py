@@ -270,14 +270,21 @@ def test_jobs_below_one_is_a_usage_error(idx_dir, tmp_path, capsys, command, job
     assert not out.exists()
 
 
-@pytest.mark.parametrize("widths, seeds, missing", [("", "1", "width"), ("2", "", "seed")])
-def test_sweep_with_no_width_or_no_seed_exits_1(idx_dir, tmp_path, capsys, widths, seeds, missing):
+@pytest.mark.parametrize("widths, seeds, message", [
+    ("", "1", "argument --widths: expected comma-separated integers >= 1, got ''"),
+    (",", "1", "argument --widths: expected comma-separated integers >= 1, got ','"),
+    ("2", "", "argument --seeds: expected comma-separated integers >= 0, got ''"),
+], ids=["no-width", "comma-widths", "no-seed"])
+def test_sweep_with_no_width_or_no_seed_is_a_usage_error(tmp_path, capsys, widths, seeds, message):
     out = tmp_path / "s"
-    argv = ["sweep", "--data", str(idx_dir), "--widths", widths, "--seeds", seeds,
+    # reported before the data is read: the path does not exist
+    argv = ["sweep", "--data", str(tmp_path / "no-data"), "--widths", widths, "--seeds", seeds,
             "--epochs", "1", "--cap", "20", "--out", str(out)]
-    assert main(argv) == 1
-    assert f"need at least one {missing}" in capsys.readouterr().err
-    assert not (out / "sweep.csv").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_on_csv_warns_that_accuracy_uses_the_training_split(tmp_path, capsys):
@@ -632,6 +639,12 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "argument --widths: expected comma-separated integers >= 1, got '0'"),
         ("bounds --widths 8,0,3 --classes 3 --act relu", 2,
          "argument --widths: expected comma-separated integers >= 1, got '8,0,3'"),
+        ("train --data IDX --widths , --epochs 1", 2,
+         "argument --widths: expected comma-separated integers >= 1, got ','"),
+        ("bounds --widths , --classes 3 --act relu", 2,
+         "argument --widths: expected comma-separated integers >= 1, got ','"),
+        ("cover --checkpoint CHECKPOINT --alphas , --layer 1 --class-j 0", 2,
+         "argument --alphas: expected comma-separated integers, got ','"),
         ("train --data IDX --widths 2 --epochs 1 --seed -1", 2,
          "argument --seed: expected an integer >= 0, got '-1'"),
         ("analyze --data IDX --checkpoint CHECKPOINT --layer 1 --seed -1", 2,
@@ -731,7 +744,8 @@ _COVER = "cover --checkpoint CHECKPOINT --alphas 1 --layer 1 --class-j"
          "{CHECKPOINT} has 3 classes, but {FIVE_CLASSES} has label 4"),
     ],
     ids=["free-layer-7", "free-layer--1", "class-j-9", "class-j--1", "train-widths-0",
-         "sweep-widths-0", "bounds-widths-0", "train-seed--1", "analyze-seed--1",
+         "sweep-widths-0", "bounds-widths-0", "train-widths-empty", "bounds-widths-empty",
+         "cover-alphas-empty", "train-seed--1", "analyze-seed--1",
          "sweep-seeds--1", "label-col-7", "label-inf", "threshold-nan", "checkpoint-csv",
          "checkpoint-json-list", "max-dim-3", "max-dim--1", "max-radius-0", "max-radius-nan",
          "label-1e18", "sweep-singletons", "analyze-singletons", "analyze-layer-0",

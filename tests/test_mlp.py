@@ -82,9 +82,9 @@ def test_train_separable_blobs_reaches_99():
 def test_train_zero_learning_rate_leaves_weights():
     ds = blob_dataset()
     net = mlp.build_network([2, 4, 2], mlp.relu_activation(), seed=3)
-    before = [p.copy() for _, p in mlp._param_items(net)]
+    before = [p.copy() for p in sgd_oracle.named_params(net).values()]
     mlp.train_sgd(net, ds, mlp.TrainConfig(epochs=2, lr=0.0, batch_size=16, seed=5))
-    after = [p for _, p in mlp._param_items(net)]
+    after = list(sgd_oracle.named_params(net).values())
     assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
 
@@ -95,7 +95,7 @@ def test_train_determinism_bit_identical():
         net = mlp.build_network([2, 4, 4, 2], mlp.relu_activation(), seed=3)
         mlp.train_sgd(net, ds, mlp.TrainConfig(epochs=10, lr=0.1, batch_size=16, seed=5))
         nets.append(net)
-    for (_, a), (_, b) in zip(mlp._param_items(nets[0]), mlp._param_items(nets[1])):
+    for a, b in zip(*(sgd_oracle.named_params(net).values() for net in nets)):
         assert np.array_equal(a, b)
 
 
@@ -106,25 +106,34 @@ def test_train_nan_loss_aborts_with_diagnostic():
         mlp.train_sgd(net, ds, mlp.TrainConfig(epochs=50, lr=1e6, batch_size=16, seed=5))
 
 
+def _array_bytes(net):
+    """Every array training changes, as bytes, in one order: the parameters,
+    then the running statistics."""
+    arrays = list(sgd_oracle.named_params(net).values())
+    arrays += [a for b in net.hidden if b.norm for a in (b.norm.running_mean, b.norm.running_var)]
+    return [a.tobytes() for a in arrays]
+
+
 def _train_state(train, net, ds, config):
-    """Everything training leaves behind, as bytes: the log or the
-    divergence message, every parameter and the running statistics."""
+    """Everything training leaves behind: the log or the divergence
+    message, and ``_array_bytes``."""
     try:
         outcome = repr(train(net, ds, config))
     except mlp.TrainingDivergedError as exc:
         outcome = f"diverged: {exc}"
-    arrays = [p for _, p in mlp._param_items(net)]
-    arrays += [a for b in net.hidden if b.norm for a in (b.norm.running_mean, b.norm.running_var)]
-    return outcome, [a.tobytes() for a in arrays]
+    return outcome, _array_bytes(net)
 
 
 def _build(widths, act, seed, batch_norm):
-    """``build_network``; ``batch_norm`` is a bool, or the (momentum, eps)
-    of each hidden block's batch norm."""
+    """``build_network``; ``batch_norm`` is a bool, or per hidden block the
+    (momentum, eps) of its batch norm, or None for a block without one."""
     net = mlp.build_network(widths, act, seed=seed, batch_norm=bool(batch_norm))
     if not isinstance(batch_norm, bool):
-        for block, (momentum, eps) in zip(net.hidden, batch_norm, strict=True):
-            block.norm.momentum, block.norm.eps = momentum, eps
+        for block, setting in zip(net.hidden, batch_norm, strict=True):
+            if setting is None:
+                block.norm = None
+            else:
+                block.norm.momentum, block.norm.eps = setting
     return net
 
 
@@ -133,6 +142,8 @@ _ORACLE_CASES = [
     # each running statistic must move with its own block's momentum
     pytest.param([8, 8], mlp.relu_activation(), [(0.9, 1e-3), (0.0, 1e-5)], 0.05,
                  id="relu-bn-own-momentum-and-eps"),
+    # a normalized block below one without batch norm, as checkpoints may hold
+    pytest.param([8, 8], mlp.relu_activation(), [(0.1, 1e-5), None], 0.05, id="relu-bn-then-plain"),
     pytest.param([8, 5], mlp.relu_activation(), False, 0.05, id="relu"),
     pytest.param([6], mlp.poly_activation((0.1, 0.5, 0.3)), True, 0.05, id="poly-bn"),
     pytest.param([6, 4], mlp.poly_activation((0.1, 0.5, 0.3)), False, 0.02, id="poly"),
@@ -164,7 +175,7 @@ def _stack_states(nets, ds, configs):
             f"diverged: {outcome}"
             if isinstance(outcome, mlp.TrainingDivergedError)
             else repr(outcome),
-            [a.tobytes() for a in mlp._net_arrays(net)],
+            _array_bytes(net),
         )
         for outcome, net in zip(outcomes, nets)
     ]
@@ -200,7 +211,7 @@ def test_a_diverging_net_leaves_the_stack_and_the_others_go_on():
         act = mlp.poly_activation((0.1, 0.5, 0.3))
         net = mlp.build_network([train_ds.dim, 6, 4, 3], act, seed=1 + k, batch_norm=False)
         if k == 1:  # large initial weights make this net's loss overflow
-            for _, p in mlp._param_items(net):
+            for p in sgd_oracle.named_params(net).values():
                 p *= 100.0
         return net
 
@@ -261,7 +272,7 @@ def test_gradient_check_20_random_nets():
 
 def test_gradient_check_zero_weights_zero_input():
     net = mlp.build_network([2, 3, 2], mlp.poly_activation(), seed=0, batch_norm=False)
-    for _, p in mlp._param_items(net):
+    for p in sgd_oracle.named_params(net).values():
         p[:] = 0.0
     x = np.zeros((4, 2))
     y = np.array([0, 1, 0, 1])
