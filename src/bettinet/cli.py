@@ -97,21 +97,30 @@ def _check_fits(dataset: data.Dataset, path, widths, net_name: str):
         raise ValueError(f"{net_name} has {widths[-1]} classes, but {path} has label {dataset.labels.max()}")
 
 
-def _warn_training_accuracy(reason: str):
+def _measured_on(split: str, path_text: str) -> str:
+    """The line of a report that names the data its accuracy is measured on."""
+    return f"accuracy is measured on the {split} split ({path_text})\n"
+
+
+def _warn_training_accuracy(reason: str, path_text: str) -> str:
+    """Warns that accuracy is measured on the training data ``path_text``;
+    returns the report's line that says so."""
     print(f"warning: {reason}; accuracy is measured on the training split", file=sys.stderr)
+    return _measured_on("training", path_text)
 
 
-def _load_test_dataset(args, train_ds: data.Dataset) -> data.Dataset:
+def _load_test_dataset(args, train_ds: data.Dataset) -> tuple[data.Dataset, str]:
+    """The data that sweep measures accuracy on, and the line that names it."""
     if args.test_data:
-        return _load_dataset(args.test_data, args.label_col, split="test")
+        test_ds = _load_dataset(args.test_data, args.label_col, split="test")
+        return test_ds, _measured_on("test", args.test_data)
     path = Path(args.data)
     if path.is_dir():
         try:
-            return data.load_idx_dataset(path, split="test")
+            return data.load_idx_dataset(path, split="test"), _measured_on("test", args.data)
         except FileNotFoundError:
             pass
-    _warn_training_accuracy(f"no --test-data and no test split in {path}")
-    return train_ds
+    return train_ds, _warn_training_accuracy(f"no --test-data and no test split in {path}", args.data)
 
 
 def _activation_from_args(args):
@@ -206,13 +215,14 @@ def cmd_analyze(args, out: Path) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the layer profile warned of any skipped class
         inp = advisor.layer_profile(None, dataset, 0, **sample)
-    _warn_training_accuracy("analyze reads only --data")
+    measured_on = _warn_training_accuracy("analyze reads only --data", args.data)
     acc = mlp.evaluate_accuracy(net, dataset)
     report = advisor.compare_profiles(inp, lay, threshold_fraction=args.threshold, accuracy=acc)
     _write_profile_files(out, "input", inp)
     _write_profile_files(out, f"layer{args.layer}", lay)
-    (out / "report.txt").write_text(report.to_text())
-    sys.stdout.write(report.to_text())
+    text = report.to_text() + measured_on
+    (out / "report.txt").write_text(text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -220,7 +230,7 @@ def cmd_sweep(args, out: Path) -> int:
     from . import advisor
 
     train_ds = _load_dataset(args.data, args.label_col)
-    test_ds = _load_test_dataset(args, train_ds)
+    test_ds, measured_on = _load_test_dataset(args, train_ds)
     _check_fits(test_ds, args.test_data or args.data, (train_ds.dim, train_ds.n_classes),
                 f"a net trained on {args.data}")
     result = advisor.width_sweep(
@@ -236,8 +246,9 @@ def cmd_sweep(args, out: Path) -> int:
         per_class_cap=args.cap,
     )
     (out / "sweep.csv").write_text("\n".join(result.records()) + "\n")
-    (out / "sweep.txt").write_text(result.to_text())
-    sys.stdout.write(result.to_text())
+    text = result.to_text() + measured_on
+    (out / "sweep.txt").write_text(text)
+    sys.stdout.write(text)
     return 0
 
 

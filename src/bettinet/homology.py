@@ -22,10 +22,12 @@ birth and the edges from w to c, so the top dimension is counted but never
 stored, and every simplex is kept and passed as one int64 key alone (birth
 rank, then the vertices).  Apparent pairs come from one vectorized pass;
 only the other columns enumerate and reduce their cofacet lists.  A
-reduction keeps sorted only the keys born up to a horizon a little past
-its pivot; it parks the later ones unsorted and sorts them when the pivot
-reaches them or when the column is stored, so a long reduction stops
-re-sorting keys that lie past its final pivot.  ``build_rips`` counts
+reduced column is stored as its column of the reduction matrix V, the
+simplices whose coboundaries sum to it, and rebuilt from their cofacets
+when a later pivot reads it.  A reduction keeps sorted only the keys born
+up to a horizon a little past its pivot; it parks the later ones unsorted
+and sorts them only when the pivot reaches them, so a long reduction
+never sorts the keys that lie past its final pivot.  ``build_rips`` counts
 simplices before allocating any and raises ``FiltrationSizeError`` above
 ``FILTRATION_SIZE_GUARD``.  One counter answers every Betti query.
 Everything here uses numpy only.
@@ -406,6 +408,10 @@ class Barcode:
 # the apparent-pair pass holds at a time: 1 MB of int32.
 _BLOCK = 1 << 18
 _EMPTY = np.zeros(0, dtype=np.int64)
+# Entries of one block of the (members x vertices) cofacet rank matrix that
+# ``_near_cofacets`` rebuilds a stored column from at a time: each entry
+# costs up to about 50 bytes of rank, index and key arrays, so about 1 MB.
+_REBUILD_BLOCK = 1 << 14
 # Birth ranks past a column's first key that ``_reduce_column`` first keeps
 # sorted; the step doubles at every move of the horizon.
 _HORIZON_STEP = 256
@@ -509,14 +515,15 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     Per-pair state is numpy arrays: an apparent pair costs 16 bytes, its
     pivot key and column, and most pairs are apparent (35 553 of the 35 674
     on a 300-point noisy torus at dim 1).  One dict, ``reduced``, maps each
-    pivot the reduction creates to its reduced column, whose sorted keys
-    begin with that pivot; an apparent column added to another is recomputed
-    from its key.  Each reduced column is split at a birth-rank horizon
-    (see ``_reduce_column``), so its keys past the horizon are sorted once,
-    not at every addition.  On that torus, where one column adds 1 217
-    others and 2 074 cofacet lists are built in all, the reduction sorts 2.5
-    million keys instead of 14.1 million, and the kernel's tracemalloc peak
-    above its input is 6.3 MiB (7.6 MiB without the horizon).
+    pivot the reduction creates to that column of the reduction matrix V
+    (Bauer 2021): the sorted keys of the d-simplices whose coboundaries sum
+    to the reduced column.  A later column whose pivot it is rebuilds the
+    reduced column from those cofacets, sorting only its keys below the
+    reduction's horizon (see ``_reduce_column``), and an apparent column
+    added to another is recomputed from its key.  On that torus,
+    where 2 074 cofacet lists are built for the columns and their apparent
+    additions, the store holds 2 449 keys, where the reduced columns held
+    447 288; 65 pivots read it, and they rebuild 501 cofacet lists.
     """
     values, d_keys, n = filt.edge_lengths, filt.keys_by_dim[d], filt.n_vertices
     todo = np.ones(len(d_keys), dtype=bool)
@@ -525,24 +532,29 @@ def _coboundary_block(filt: Filtration, d: int, cleared: np.ndarray):
     todo[cols] = False
     base = n ** (d + 1)  # a column key's birth rank is key // base, a row key's key // (base * n)
     bars: list[Interval] = []  # the apparent pairs give none
-    reduced: dict[int, np.ndarray] = {}  # pivot key -> reduced column
+    reduced: dict[int, np.ndarray] = {}  # pivot key -> V
     for c in d_keys[todo][::-1].tolist():
-        column = _reduce_column(filt, d, c, keys, cols, reduced)
-        if column is None:
+        reduction = _reduce_column(filt, d, c, keys, cols, reduced)
+        if reduction is None:
             bars.append(Interval(float(values[c // base]), None))
             continue
-        reduced[int(column[0])] = column
-        if c // base != column[0] // (base * n):
-            bars.append(Interval(float(values[c // base]), float(values[column[0] // (base * n)])))
+        pivot, v = reduction
+        reduced[pivot] = v
+        if c // base != pivot // (base * n):
+            bars.append(Interval(float(values[c // base]), float(values[pivot // (base * n)])))
     return bars, np.concatenate((keys, np.fromiter(reduced, dtype=np.int64, count=len(reduced))))
 
 
 def _reduce_column(filt: Filtration, d: int, key: int, keys, cols, reduced):
     """Add to the column of the d-simplex ``key`` the columns that own its
-    pivot until none does; returns the reduced column, its keys sorted, the
-    first its pivot, or None for a zero column.  The owners are the apparent
-    columns (pivot ``keys`` and positions ``cols``, from ``_apparent_pairs``)
-    and the columns in ``reduced``, keyed by pivot.
+    pivot until none does; returns (pivot, V), or None for a zero column.
+    V is the column's column of the reduction matrix: the sorted keys of the
+    d-simplices whose coboundaries sum to the reduced column, ``key`` among
+    them.  The owners are the apparent columns (pivot ``keys`` and positions
+    ``cols``, from ``_apparent_pairs``), each its own V, whose one cofacet
+    list comes from ``_cofacets``, and the columns in ``reduced``, pivot to
+    V, each rebuilt from the cofacets of its V in one vectorized pass
+    (``_near_cofacets``).
 
     The working column is split at a horizon, a birth rank.  The keys born
     at or below it are the sum of two sorted key arrays, which find the
@@ -551,14 +563,17 @@ def _reduce_column(filt: Filtration, d: int, key: int, keys, cols, reduced):
     column's length below the horizon, not the working column's.  Every
     added column has its first key at the pivot, so the pivot leaves both,
     and keys that ``big`` and ``small`` both begin with cancel.  The keys
-    born past the horizon are parked unsorted on ``pile``.  Most of them lie
-    past the final pivot, and they are sorted once, when the column is
-    returned.  When the keys below the horizon cancel out, the horizon moves
-    to the earliest parked key's birth plus a step that doubles each time,
-    starting at ``_HORIZON_STEP``, and the parked keys below it, reduced to
-    those parked an odd number of times, become ``big``.
+    born past the horizon, an added column's and the working column's own,
+    are parked unsorted on ``pile``.  Most of them lie past the final pivot
+    and are never sorted.  When the keys below the horizon cancel out, the
+    horizon moves to the earliest parked key's birth plus a step that
+    doubles each time, starting at ``_HORIZON_STEP``, and the parked keys
+    below it, reduced to those parked an odd number of times, become ``big``.
     """
     base = filt.n_vertices ** (d + 2)  # a row key's birth rank is key // base
+    d_keys = filt.keys_by_dim[d]
+    # V in parts: the column's and the apparent owners' keys, and the stored owners' V
+    added, owned = [key], []
     # the column starts parked: the first pass sets the first horizon
     big, small, pile, step = _EMPTY, _EMPTY, [_cofacets(filt, key, d)], _HORIZON_STEP
     while True:
@@ -569,42 +584,72 @@ def _reduce_column(filt: Filtration, d: int, key: int, keys, cols, reduced):
             j = int(differ.argmax()) if differ.any() else m
             big, small = big[j:], small[j:]
         if not big.size and not small.size:
-            far = np.concatenate(pile)
-            if not far.size:
+            pile = [p for p in pile if p.size]
+            if not pile:
                 return None
-            pile.clear()  # the parked arrays are freed before far is split
-            limit = (int(far.min()) // base + step + 1) * base  # keys below it are born up to the horizon
+            # keys below the limit are born up to the horizon
+            limit = (min(int(p.min()) for p in pile) // base + step + 1) * base
             step *= 2
-            near = far < limit
-            big, pile = _odd_keys(far[near]), [far[~near]]
-            del far, near  # nor is far kept while the reduction goes on
+            big = _take_below(pile, limit)
             continue
         in_big = not small.size or big.size and big[0] < small[0]
         low = int(big[0] if in_big else small[0])
-        add = reduced.get(low)
-        if add is None:
+        owner = reduced.get(low)
+        if owner is None:
             i = int(keys.searchsorted(low))
             if i == len(keys) or keys[i] != low:
-                far = np.concatenate([big, small, *pile])
-                pile.clear()  # the parked arrays are freed before far is sorted
-                return _odd_keys(far)
-            # an apparent column is its own reduced form
-            add = _cofacets(filt, int(filt.keys_by_dim[d][cols[i]]), d)
+                return low, _odd_keys(np.concatenate([np.array(added, dtype=np.int64), *owned]))
+            added.append(int(d_keys[cols[i]]))
+            add = _cofacets(filt, added[-1], d)  # an apparent column is its own reduced form
+            cut = int(add.searchsorted(limit))
+            if cut < len(add):
+                pile.append(add[cut:])
+            add = add[:cut]
+        else:
+            owned.append(owner)
+            add = _near_cofacets(filt, d, owner, limit, pile)
         # the pivot cancels: it is the first key of both columns
         if in_big:
             big = big[1:]
         else:
             small = small[1:]
-        cut = int(add.searchsorted(limit))
-        if cut < len(add):
-            pile.append(add[cut:])
-        add = add[1:cut]
+        add = add[1:]
         if not small.size:
             small = add
         elif add.size:
             small = _xor_sorted(small, add)
         if 8 * len(small) > len(big):
             big, small = _xor_sorted(big, small), _EMPTY
+
+
+def _near_cofacets(filt: Filtration, d: int, members: np.ndarray, limit: int, pile: list) -> np.ndarray:
+    """The sum of the coboundaries of the d-simplices ``members``, keys
+    below ``limit`` only, sorted; the keys at or past it are parked on
+    ``pile`` unsorted.  ``_REBUILD_BLOCK // n`` members are decoded at a time."""
+    n, top = filt.n_vertices, len(filt.edge_lengths)
+    near = []
+    step = max(1, _REBUILD_BLOCK // n)
+    for start in range(0, len(members), step):
+        ranks, verts = _decode(members[start : start + step], n, d + 1)
+        m = _cofacet_ranks(filt.edge_rank, ranks.astype(np.int32)[:, None], verts)
+        row, w = (m < top).nonzero()
+        keys = _cofacet_keys(m[row, w], [v[row] for v in verts], w, n)
+        below = keys < limit
+        near.append(keys[below])
+        pile.append(keys[~below])
+    return _odd_keys(np.concatenate(near))
+
+
+def _take_below(pile: list, limit: int) -> np.ndarray:
+    """Removes the keys below ``limit`` from the parked arrays ``pile`` and
+    returns those parked an odd number of times, sorted.  The arrays are
+    split one at a time, so the parked keys are never held twice."""
+    near = []
+    for i, parked in enumerate(pile):
+        below = parked < limit
+        near.append(parked[below])
+        pile[i] = parked[~below]
+    return _odd_keys(np.concatenate(near))
 
 
 def _xor_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -196,14 +196,18 @@ def test_analyze_writes_profiles_for_all_classes(idx_dir, tmp_path, capsys):
         ]
     )
     assert rc == 0
-    warning = capsys.readouterr().err
+    captured = capsys.readouterr()
+    warning = captured.err
     assert warning.count("\n") == 1
     assert "warning" in warning and "training split" in warning
     for c in range(4):
         assert (out / f"input_class_{c}.csv").exists()
         assert (out / f"layer3_class_{c}.csv").exists()
         assert (out / f"layer3_class_{c}.svg").exists()
-    assert (out / "report.txt").exists()
+    # the report names the data its accuracy is measured on, on stdout too
+    report = (out / "report.txt").read_text()
+    assert report.splitlines()[-1] == f"accuracy is measured on the training split ({idx_dir})"
+    assert captured.out.endswith(report)
 
 
 def test_sweep_row_count(idx_dir, tmp_path):
@@ -222,6 +226,10 @@ def test_sweep_row_count(idx_dir, tmp_path):
     assert rc == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 9
+    # the IDX directory's test split; the table has a header and a line per row
+    lines = (out / "sweep.txt").read_text().splitlines()
+    assert len(lines) == 11
+    assert lines[-1] == f"accuracy is measured on the test split ({idx_dir})"
 
 
 def test_train_and_sweep_with_a_polynomial_activation(idx_dir, tmp_path):
@@ -300,14 +308,21 @@ def test_sweep_on_csv_warns_that_accuracy_uses_the_training_split(tmp_path, caps
         "--cap", "10",
     ]
     assert main(args + ["--out", str(tmp_path / "implicit")]) == 0
-    warning = capsys.readouterr().err
+    captured = capsys.readouterr()
+    warning = captured.err
     assert warning.count("\n") == 1
     assert "warning" in warning and "training split" in warning
     assert main(args + ["--test-data", str(csv), "--out", str(tmp_path / "explicit")]) == 0
     assert capsys.readouterr().err == ""
-    for name in ("sweep.csv", "sweep.txt"):
-        implicit = (tmp_path / "implicit" / name).read_bytes()
-        assert implicit == (tmp_path / "explicit" / name).read_bytes()
+    implicit = (tmp_path / "implicit" / "sweep.csv").read_bytes()
+    assert implicit == (tmp_path / "explicit" / "sweep.csv").read_bytes()
+    # the same table, each naming the split that its accuracy is measured on
+    implicit, explicit = ((tmp_path / run / "sweep.txt").read_text().splitlines(keepends=True)
+                          for run in ("implicit", "explicit"))
+    assert implicit[:-1] == explicit[:-1]
+    assert implicit[-1] == f"accuracy is measured on the training split ({csv})\n"
+    assert explicit[-1] == f"accuracy is measured on the test split ({csv})\n"
+    assert captured.out == "".join(implicit)
 
 
 def test_cover_command_trained_net(idx_dir, tmp_path):

@@ -458,8 +458,7 @@ def test_key_range_guard(monkeypatch):
     assert H.build_rips(d, 1, 1.5).counts() == filt.counts()
 
 
-TORUS_PEAK_CODE = """
-import tracemalloc
+TORUS_CODE = """
 import numpy as np
 from bettinet import homology as H
 rng = np.random.default_rng(11)
@@ -468,28 +467,39 @@ v = (np.tile(np.arange(12), 25) + rng.uniform(0, 1, 300)) * 2 * np.pi / 12
 ring = 2.0 + 0.8 * np.cos(v)
 pts = np.stack([ring * np.cos(u), ring * np.sin(u), 0.8 * np.sin(v)], axis=1)
 filt = H.build_rips(H.pairwise_distances(pts + rng.normal(scale=0.05, size=pts.shape)), 1)
+"""
+TORUS_PEAK_CODE = TORUS_CODE + """
+import tracemalloc
 tracemalloc.start()
 barcode = H.compute_persistence(filt)
 print(tracemalloc.get_traced_memory()[1], len(barcode.intervals[1]))
 """
 
 
+def _torus_filtration():
+    """The 300-point noisy torus of TORUS_CODE, at dim 1."""
+    namespace = {}
+    exec(TORUS_CODE, namespace)
+    return namespace["filt"]
+
+
 def test_persistence_peak_memory_on_a_noisy_torus():
     # Apparent pairs live in two sorted arrays, an apparent owner's
-    # coboundary is recomputed when it is added, and a reduction keeps
-    # sorted only the keys below its horizon, so on this 300-point torus the
-    # dim-1 kernel peaks at 6.26 MiB above its input (7.60 MiB with every
-    # key kept sorted).  With every key sorted, one dict entry per apparent
-    # pair took it to 11.1 MB, a cache of owner coboundaries to 10.9 MB, and
-    # both to 17.7 MB.  A fresh interpreter keeps other tests' allocations
-    # out of the count.
+    # coboundary is recomputed when it is added, a reduced column is stored
+    # as its column of the reduction matrix V, and a reduction keeps sorted
+    # only the keys below its horizon, so on this 300-point torus the dim-1
+    # kernel peaks at 3.24 MiB above its input.  Storing the reduced columns
+    # took it to 6.26 MiB, and to 7.60 MiB with every key kept sorted.  With
+    # every key sorted, one dict entry per apparent pair took it to 11.1 MB,
+    # a cache of owner coboundaries to 10.9 MB, and both to 17.7 MB.  A fresh
+    # interpreter keeps other tests' allocations out of the count.
     src = str(Path(H.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", TORUS_PEAK_CODE], capture_output=True,
                             text=True, check=True, env=env)
     peak, bars = map(int, result.stdout.split())
     assert bars > 0
-    assert peak < 9.5 * 2**20
+    assert peak < 5 * 2**20
 
 
 def _noisy_circle(n, seed):
@@ -499,10 +509,12 @@ def _noisy_circle(n, seed):
 
 
 def _watched_persistence(monkeypatch, filt):
-    """compute_persistence's barcode, the most apparent columns that one
-    reduction added, and the number of stored reduced columns read."""
-    longest, reads, built = [0], [0], [0]
-    cofacets, reduce_column = H._cofacets, H._reduce_column
+    """compute_persistence's barcode, the most cofacet lists that one
+    reduction built besides its column's own, the number of stored columns
+    read, and the store of each degree, by degree.  The build count includes
+    the rebuilds of stored columns, one cofacet list per key of their V."""
+    longest, reads, built, stores = [0], [0], [0], {}
+    cofacets, near_cofacets, reduce_column = H._cofacets, H._near_cofacets, H._reduce_column
 
     class Watched:
         """The store of reduced columns, counting the reads that find one."""
@@ -519,7 +531,12 @@ def _watched_persistence(monkeypatch, filt):
         built[0] += 1
         return cofacets(*args)
 
+    def counting_near_cofacets(filt, d, members, limit, pile):
+        built[0] += len(members)
+        return near_cofacets(filt, d, members, limit, pile)
+
     def watched_reduce_column(filt, d, key, keys, cols, reduced):
+        stores[d] = reduced
         built[0] = 0
         column = reduce_column(filt, d, key, keys, cols, Watched(reduced))
         longest[0] = max(longest[0], built[0] - 1)  # one build is the column's own
@@ -527,9 +544,10 @@ def _watched_persistence(monkeypatch, filt):
 
     with monkeypatch.context() as patch:
         patch.setattr(H, "_cofacets", counting_cofacets)
+        patch.setattr(H, "_near_cofacets", counting_near_cofacets)
         patch.setattr(H, "_reduce_column", watched_reduce_column)
         barcode = H.compute_persistence(filt)
-    return barcode, longest[0], reads[0]
+    return barcode, longest[0], reads[0], stores
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -540,7 +558,7 @@ def test_long_reductions_match_the_reference(monkeypatch, seed):
     filt = H.build_rips(H.pairwise_distances(_noisy_circle(60, seed)), 1)
     slow = oracle.reference_persistence(filt)
     expected = (slow.intervals, slow.paired_count, slow.essential_count)
-    fast, longest, reads = _watched_persistence(monkeypatch, filt)
+    fast, longest, reads, _ = _watched_persistence(monkeypatch, filt)
     assert (fast.intervals, fast.paired_count, fast.essential_count) == expected
     if seed == 0:
         assert longest >= 100
@@ -549,6 +567,29 @@ def test_long_reductions_match_the_reference(monkeypatch, seed):
     # with the smallest step every pivot past the horizon moves it
     monkeypatch.setattr(H, "_HORIZON_STEP", 1)
     assert H.compute_persistence(filt) == fast
+
+
+@pytest.mark.parametrize("cloud", ["circle-0", "circle-1", "circle-2", "torus"])
+def test_the_store_holds_columns_of_the_reduction_matrix(monkeypatch, cloud):
+    # each created pivot maps to the d-simplices whose coboundaries sum to
+    # its reduced column, not to the column's own keys
+    if cloud == "torus":
+        filt = _torus_filtration()
+    else:
+        filt = H.build_rips(H.pairwise_distances(_noisy_circle(60, int(cloud[-1]))), 1)
+    _, _, _, stores = _watched_persistence(monkeypatch, filt)
+    assert stores
+    for d, reduced in stores.items():
+        for pivot, v in reduced.items():
+            assert v.dtype == np.int64 and v.size and np.all(v[1:] > v[:-1])
+            assert np.isin(v, filt.keys_by_dim[d]).all()
+            column = set()
+            for key in v.tolist():
+                column ^= set(H._cofacets(filt, key, d).tolist())
+            assert min(column) == pivot
+    if cloud == "torus":
+        # the reduced columns held 447 288 keys on a benchmark torus of 300 points
+        assert sum(len(v) for reduced in stores.values() for v in reduced.values()) < 10_000
 
 
 def test_odd_keys_keeps_the_keys_of_odd_multiplicity():
